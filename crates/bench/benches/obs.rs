@@ -17,13 +17,14 @@ use soulmate_core::similarity::{
     column_means, concept_similarity_matrix, fuse_similarities, offdiagonal_stats,
     similarity_matrix, standardize_offdiagonal,
 };
-use soulmate_core::{Combiner, QueryEngine, QueryModel};
+use soulmate_core::{CachedCut, Combiner, QueryEngine, QueryModel};
 use soulmate_corpus::Timestamp;
 use soulmate_embedding::Embedding;
 use soulmate_linalg::Matrix;
 use soulmate_obs::{span, MetricsRegistry};
 use soulmate_text::{TokenizerConfig, Vocabulary};
 use std::hint::black_box;
+use std::sync::Arc;
 
 const DIM: usize = 40;
 const N_CONCEPTS: usize = 8;
@@ -58,12 +59,18 @@ impl ServingModel {
             concept_means: &self.concept_means,
             concept_stats: self.concept_stats,
             content_stats: self.content_stats,
-            x_total: &self.x_total,
             alpha: ALPHA,
             tweet_combiner: Combiner::Avg,
             graph_min_sim: MIN_SIM,
             graph_top_k: TOP_K,
         }
+    }
+
+    /// An engine over the model, its cut built from `x_total` the way
+    /// `Pipeline::query_engine` builds it.
+    fn engine(&self) -> QueryEngine<'_> {
+        let cut = CachedCut::new(&self.x_total, MIN_SIM, TOP_K).unwrap();
+        QueryEngine::new(self.model(), Arc::new(cut)).unwrap()
     }
 }
 
@@ -151,7 +158,7 @@ fn bench_instrumented_engine() {
         let serving = build_model(n, 7 + n as u64);
         let mut rng = StdRng::seed_from_u64(99);
         let query = [build_query(&mut rng, 5)];
-        let engine = QueryEngine::new(serving.model()).unwrap();
+        let engine = serving.engine();
         group.bench(format!("engine_link_query/{n}"), || {
             black_box(engine.link_query_authors(&query).unwrap())
         });

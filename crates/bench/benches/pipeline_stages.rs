@@ -62,7 +62,7 @@ fn pipeline_stages() {
         .map(|t| (t.timestamp, t.text.clone()))
         .collect();
     group.bench("online_link_query_author", || {
-        link_query(&pipeline.query_model(), &query_tweets).unwrap()
+        link_query(&pipeline.query_model(), &pipeline.x_total, &query_tweets).unwrap()
     });
 }
 

@@ -14,12 +14,13 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use soulmate_bench::timing::Group;
-use soulmate_core::{Combiner, EngineMode, IvfConfig, QueryEngine, QueryModel};
+use soulmate_core::{CachedCut, Combiner, EngineMode, IvfConfig, QueryEngine, QueryModel};
 use soulmate_corpus::Timestamp;
 use soulmate_embedding::Embedding;
 use soulmate_linalg::Matrix;
 use soulmate_text::{TokenizerConfig, Vocabulary};
 use std::hint::black_box;
+use std::sync::Arc;
 
 const DIM: usize = 300;
 const N_CONCEPTS: usize = 32;
@@ -65,12 +66,18 @@ impl ServingModel {
             concept_means: &self.concept_means,
             concept_stats: (0.0, 1.0),
             content_stats: (0.0, 1.0),
-            x_total: &self.x_total,
             alpha: ALPHA,
             tweet_combiner: Combiner::Avg,
             graph_min_sim: MIN_SIM,
             graph_top_k: TOP_K,
         }
+    }
+
+    /// An engine over the model, its cut built from `x_total` the way
+    /// `Pipeline::query_engine` builds it.
+    fn engine(&self) -> QueryEngine<'_> {
+        let cut = CachedCut::new(&self.x_total, MIN_SIM, TOP_K).unwrap();
+        QueryEngine::new(self.model(), Arc::new(cut)).unwrap()
     }
 }
 
@@ -161,12 +168,12 @@ fn bench_retrieval() {
 
         // One-time coarse index build (k-medoids + truncated projection).
         group.bench(format!("ivf_build/{n}"), || {
-            let mut engine = QueryEngine::new(serving.model()).unwrap();
+            let mut engine = serving.engine();
             engine.build_index(&IvfConfig::default()).unwrap();
             black_box(engine.index().is_some())
         });
 
-        let mut engine = QueryEngine::new(serving.model()).unwrap();
+        let mut engine = serving.engine();
         engine.build_index(&IvfConfig::default()).unwrap();
 
         // The exact serve: every author scored, Θ(n·d) per query.

@@ -44,7 +44,7 @@ pub fn run(args: &ExpArgs) -> String {
         let runs = 20;
         let start = Instant::now();
         for _ in 0..runs {
-            link_query(&pipeline.query_model(), &query).expect("query links");
+            link_query(&pipeline.query_model(), &pipeline.x_total, &query).expect("query links");
         }
         let query_time = start.elapsed() / runs;
 

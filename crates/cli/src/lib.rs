@@ -19,7 +19,7 @@ use soulmate_core::{
     RefitManager, Trigger,
 };
 use soulmate_corpus::{generate, io as corpus_io, GeneratorConfig, Timestamp};
-use soulmate_graph::{swmst, WeightedGraph};
+use soulmate_graph::swmst_from_sorted;
 use soulmate_temporal::{similarity_grid, slabs_from_grid, Facet};
 use soulmate_text::TokenizerConfig;
 use std::fmt;
@@ -236,10 +236,11 @@ fn cmd_subgraphs<W: Write>(flags: &Flags, out: &mut W) -> Result<(), CliError> {
     // Usage error even when the model path is bad too.
     let top = flags.get_usize("top")?.unwrap_or(10);
     let model = load_model(flags)?;
-    let graph =
-        WeightedGraph::from_similarity(&model.x_total, model.graph_min_sim, model.graph_top_k)
-            .map_err(|e| CliError::Failed(e.to_string()))?;
-    let forest = swmst(&graph);
+    // SW-MST over the cut's backbone, which holds the base graph's
+    // maximum spanning forest: the same forest as over the whole
+    // sparsified graph (DESIGN.md §10, facts 1–2).
+    let cut = &model.cut;
+    let forest = swmst_from_sorted(cut.n_authors(), cut.base_edges().iter().copied());
     let mut components = forest.components();
     components.sort_by_key(|c| std::cmp::Reverse(c.len()));
     writeln!(out, "{} linked-author subgraphs:", components.len()).ok();
@@ -579,7 +580,7 @@ fn cmd_convert<W: Write>(flags: &Flags, out: &mut W) -> Result<(), CliError> {
         input.display(),
         output.display(),
         if quantize {
-            ", i8-quantized matrices"
+            ", i8-quantized author matrices"
         } else {
             ""
         },
@@ -1283,6 +1284,44 @@ mod tests {
         for p in [&bin, &qbin] {
             std::fs::remove_file(p).ok();
         }
+    }
+
+    #[test]
+    fn subgraphs_match_between_legacy_fixtures_and_schema3() {
+        // Legacy files cut the graph from their dense x_total at load;
+        // their schema-3 conversions persist only the cut's backbone.
+        // SW-MST over either prints the same subgraphs, byte for byte.
+        let subgraphs = |model: &Path| {
+            run_to_string(&[
+                "subgraphs",
+                "--model",
+                model.to_str().unwrap(),
+                "--top",
+                "20",
+            ])
+            .unwrap()
+        };
+        let converted = tmp("schema3-subgraphs.bin");
+        for name in ["v1.json", "v2_index.json", "v3_f32_index.bin"] {
+            let legacy = legacy_fixture(name);
+            run_to_string(&[
+                "convert",
+                "--model",
+                legacy.to_str().unwrap(),
+                "--out",
+                converted.to_str().unwrap(),
+            ])
+            .unwrap();
+            let want = subgraphs(&legacy);
+            assert!(want.contains("linked-author subgraphs"), "got: {want}");
+            assert_eq!(want, subgraphs(&converted), "{name}");
+        }
+        std::fs::remove_file(&converted).ok();
+        // The committed conversion of the v3 fixture agrees too.
+        assert_eq!(
+            subgraphs(&legacy_fixture("v3_f32_index.bin")),
+            subgraphs(&legacy_fixture("v3_schema3.bin"))
+        );
     }
 
     #[test]

@@ -61,10 +61,45 @@ struct TopKCache {
     /// total-order sort `from_similarity` uses, so ties keep ascending
     /// index.
     prefix: Vec<usize>,
+    /// The node's similarity to each `prefix` entry, index-aligned: all
+    /// `insert_author` reads of the base matrix, so the cut needs none.
+    sims: Vec<f32>,
     /// Similarity of the rank-`top_k` neighbour (`prefix[top_k - 1]`),
     /// `None` when the node has fewer than `top_k` neighbours. A query
     /// must rank *strictly above* this value to enter the node's top-k.
     kth_sim: Option<f32>,
+}
+
+impl TopKCache {
+    /// A ranked prefix and its similarities, with the rank-`top_k` entry
+    /// read off the end (`top_k > 0`).
+    fn new(prefix: Vec<usize>, sims: Vec<f32>, top_k: usize) -> TopKCache {
+        let kth_sim = top_k.checked_sub(1).and_then(|k| sims.get(k)).copied();
+        TopKCache {
+            prefix,
+            sims,
+            kth_sim,
+        }
+    }
+}
+
+/// Nodes whose rank-k similarity is negative NaN (see
+/// `CachedCut::neg_nan_kth`).
+fn neg_nan_kth(topk: &[TopKCache]) -> Vec<usize> {
+    topk.iter()
+        .enumerate()
+        .filter(|(_, t)| {
+            matches!(t.kth_sim, Some(kth)
+                if f32::NEG_INFINITY.total_cmp(&kth) == Ordering::Greater)
+        })
+        .map(|(i, _)| i)
+        .collect()
+}
+
+/// Most edges a backbone over `n` nodes with `top_k` lifelines per node
+/// can hold: a spanning forest plus every node's prefix.
+pub(crate) fn max_backbone_edges(n: usize, top_k: usize) -> usize {
+    n.saturating_sub(1).saturating_add(n.saturating_mul(top_k))
 }
 
 /// A query's edit to the cached base graph: the base edges the query's
@@ -83,6 +118,11 @@ type QueryEdit = (HashSet<(usize, usize)>, Vec<Edge>);
 /// [`SpanningForest`] as rebuilding + re-sorting the extended `(n+1)²`
 /// graph, in `O(n log n + n·k)` instead of `O(n² + E log E)`; DESIGN.md
 /// §10 proves the backbone suffices.
+///
+/// The cut is self-contained — the prefixes carry their similarities, so
+/// neither queries nor [`CachedCut::insert_author`] read `X^Total` — and
+/// it is what a snapshot persists in place of the `n²` matrix.
+/// [`CachedCut::new`] is the one builder from a dense matrix.
 #[derive(Debug, Clone)]
 pub struct CachedCut {
     n: usize,
@@ -137,36 +177,170 @@ impl CachedCut {
                 let cmp = |&a: &usize, &b: &usize| sim[i][b].total_cmp(&sim[i][a]).then(a.cmp(&b));
                 select_top_k(&mut neighbours, top_k, cmp);
                 neighbours.sort_by(cmp);
-                let kth_sim = (neighbours.len() >= top_k).then(|| sim[i][neighbours[top_k - 1]]);
-                topk.push(TopKCache {
-                    prefix: neighbours,
-                    kth_sim,
-                });
+                let sims = neighbours.iter().map(|&j| sim[i][j]).collect();
+                topk.push(TopKCache::new(neighbours, sims, top_k));
             }
         }
         let base_edges = backbone(sim, min_similarity, &topk);
-        let neg_nan_kth = topk
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| {
-                matches!(t.kth_sim, Some(kth)
-                    if f32::NEG_INFINITY.total_cmp(&kth) == Ordering::Greater)
-            })
-            .map(|(i, _)| i)
-            .collect();
         Ok(CachedCut {
             n,
             min_sim: min_similarity,
             top_k,
             base_edges,
+            neg_nan_kth: neg_nan_kth(&topk),
             topk,
-            neg_nan_kth,
+        })
+    }
+
+    /// A cut over no authors.
+    pub(crate) fn empty(min_similarity: f32, top_k: usize) -> CachedCut {
+        CachedCut {
+            n: 0,
+            min_sim: min_similarity,
+            top_k,
+            base_edges: Vec::new(),
+            topk: Vec::new(),
+            neg_nan_kth: Vec::new(),
+        }
+    }
+
+    /// Reassemble a persisted cut over `n` authors: the backbone in pop
+    /// order and one ranked `(ids, similarities)` prefix per node. Checks
+    /// everything the query and insert paths index or rely on, so a cut
+    /// that passes serves without a panic:
+    ///
+    /// * at most `(n−1) + n·k` edges, each `u < v < n`, finite weight,
+    ///   strictly in [`stack_pop_order`], no pair twice;
+    /// * `n` prefixes of length `min(k, n−1)`, ids `< n`, distinct and
+    ///   not the node itself, finite similarities in ranking order
+    ///   (similarity descending, ties by ascending id).
+    ///
+    /// # Errors
+    /// [`CoreError::Schema`] naming the first violation.
+    pub(crate) fn from_parts(
+        n: usize,
+        min_similarity: f32,
+        top_k: usize,
+        base_edges: Vec<Edge>,
+        prefixes: Vec<(Vec<usize>, Vec<f32>)>,
+    ) -> Result<CachedCut, CoreError> {
+        let schema = |msg: String| Err(CoreError::Schema(msg));
+        let max_edges = max_backbone_edges(n, top_k);
+        if base_edges.len() > max_edges {
+            return schema(format!(
+                "backbone has {} edges, more than (n-1)+n*k = {max_edges}",
+                base_edges.len()
+            ));
+        }
+        let mut pairs = HashSet::with_capacity(base_edges.len());
+        let mut prev: Option<&Edge> = None;
+        for (i, e) in base_edges.iter().enumerate() {
+            if e.u >= n || e.v >= n {
+                return schema(format!(
+                    "backbone edge {i} ({}, {}) has an endpoint out of range (n = {n})",
+                    e.u, e.v
+                ));
+            }
+            if e.u == e.v {
+                return schema(format!("backbone edge {i} is a self-loop on {}", e.u));
+            }
+            if e.u > e.v {
+                return schema(format!(
+                    "backbone edge {i} ({}, {}) is not stored as u < v",
+                    e.u, e.v
+                ));
+            }
+            if !e.w.is_finite() {
+                return schema(format!("backbone edge {i} weight {} is not finite", e.w));
+            }
+            if !pairs.insert((e.u, e.v)) {
+                return schema(format!(
+                    "backbone edge {i} ({}, {}) is duplicated",
+                    e.u, e.v
+                ));
+            }
+            if prev.is_some_and(|p| stack_pop_order(p, e) != Ordering::Less) {
+                return schema(format!("backbone edge {i} is out of pop order"));
+            }
+            prev = Some(e);
+        }
+        if prefixes.len() != n {
+            return schema(format!("{} top-k prefixes for {n} authors", prefixes.len()));
+        }
+        let want_len = top_k.min(n.saturating_sub(1));
+        let mut topk = Vec::with_capacity(if top_k > 0 { n } else { 0 });
+        for (node, (ids, sims)) in prefixes.into_iter().enumerate() {
+            if ids.len() > top_k {
+                return schema(format!(
+                    "top-k prefix of node {node} has {} entries, longer than top_k = {top_k}",
+                    ids.len()
+                ));
+            }
+            if ids.len() != want_len || sims.len() != ids.len() {
+                return schema(format!(
+                    "top-k prefix of node {node} has {} ids and {} similarities, expected {want_len}",
+                    ids.len(),
+                    sims.len()
+                ));
+            }
+            if let Some(&id) = ids.iter().find(|&&id| id >= n || id == node) {
+                return schema(format!(
+                    "top-k prefix of node {node} names node {id} (n = {n})"
+                ));
+            }
+            if let Some(s) = sims.iter().find(|s| !s.is_finite()) {
+                return schema(format!(
+                    "top-k prefix of node {node} has non-finite similarity {s}"
+                ));
+            }
+            let mut distinct = ids.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            if distinct.len() != ids.len() {
+                return schema(format!("top-k prefix of node {node} repeats an id"));
+            }
+            let in_order = ids.windows(2).zip(sims.windows(2)).all(|pair| match pair {
+                ([a, b], [sa, sb]) => sb.total_cmp(sa).then(a.cmp(b)) == Ordering::Less,
+                _ => true,
+            });
+            if !in_order {
+                return schema(format!("top-k prefix of node {node} is out of rank order"));
+            }
+            if top_k > 0 {
+                topk.push(TopKCache::new(ids, sims, top_k));
+            }
+        }
+        Ok(CachedCut {
+            n,
+            min_sim: min_similarity,
+            top_k,
+            base_edges,
+            neg_nan_kth: neg_nan_kth(&topk),
+            topk,
         })
     }
 
     /// Number of base (non-query) nodes.
     pub fn n_authors(&self) -> usize {
         self.n
+    }
+
+    /// The sparsification threshold the cut was built with.
+    pub(crate) fn min_similarity(&self) -> f32 {
+        self.min_sim
+    }
+
+    /// The per-node lifeline count the cut was built with.
+    pub(crate) fn top_k(&self) -> usize {
+        self.top_k
+    }
+
+    /// Node `i`'s ranked top-k neighbours and its similarity to each
+    /// (both empty when `top_k == 0`).
+    pub(crate) fn prefix(&self, i: usize) -> (&[usize], &[f32]) {
+        self.topk
+            .get(i)
+            .map_or((&[], &[]), |t| (t.prefix.as_slice(), t.sims.as_slice()))
     }
 
     /// The cached backbone, in [`stack_pop_order`]: the base graph's
@@ -540,29 +714,20 @@ impl CachedCut {
     /// edges, plus every sub-threshold edge (the grown graph's lifelines).
     /// The result is bit-identical to [`CachedCut::new`] over the grown
     /// `(n+1)²` similarity matrix (pinned by a property test), in
-    /// `O(n·k + n log n)` instead of `O(n²)`.
+    /// `O(n·k + n log n)` instead of `O(n²)`, and reads no base matrix:
+    /// the prefixes carry every similarity the ranking update compares.
     ///
-    /// `sims` is the new author's similarity to each existing author;
-    /// `sim` is the base similarity matrix this cut was built over (rows
-    /// may be longer than `n`, e.g. the already-grown `x_total` — only
-    /// the first `n` columns of the first `n` rows are read). The new
-    /// author's node index is the pre-insert `n_authors()`.
+    /// `sims` is the new author's similarity to each existing author. The
+    /// new author's node index is the pre-insert `n_authors()`.
     ///
     /// # Errors
-    /// [`CoreError::Invalid`] when `sims` is not length `n` or `sim` has
-    /// fewer than `n` rows/columns.
-    // After the shape validation every index below is < n: `sims`, `topk`
-    // have n entries, prefixes hold node ids < n, and `sim` rows/cols
-    // cover 0..n.
+    /// [`CoreError::Invalid`] when `sims` is not length `n`.
+    // After the length validation every index below is < n: `sims`,
+    // `topk` have n entries and prefixes hold node ids < n.
     #[allow(clippy::indexing_slicing)]
-    pub fn insert_author(&mut self, sim: &[Vec<f32>], sims: &[f32]) -> Result<(), CoreError> {
+    pub fn insert_author(&mut self, sims: &[f32]) -> Result<(), CoreError> {
         let n = self.n;
         let k = self.top_k;
-        if sim.len() < n || sim.iter().take(n).any(|row| row.len() < n) {
-            return Err(CoreError::Invalid(format!(
-                "base similarity matrix smaller than {n}x{n}"
-            )));
-        }
         // Validates sims.len() == n and computes the graph edit under
         // exactly the rules `from_similarity` would apply to the grown
         // matrix — the same derivation the per-query path runs.
@@ -596,18 +761,13 @@ impl CachedCut {
                 // neighbour that ranks >= the new score (equal similarity
                 // means the existing, smaller index wins).
                 let pos = cache
-                    .prefix
-                    .partition_point(|&j| sim[i][j].total_cmp(&sims[i]) != Ordering::Less);
+                    .sims
+                    .partition_point(|s| s.total_cmp(&sims[i]) != Ordering::Less);
                 cache.prefix.insert(pos, n);
                 cache.prefix.truncate(k);
-                cache.kth_sim = (cache.prefix.len() >= k).then(|| {
-                    let j = cache.prefix[k - 1];
-                    if j == n {
-                        sims[i]
-                    } else {
-                        sim[i][j]
-                    }
-                });
+                cache.sims.insert(pos, sims[i]);
+                cache.sims.truncate(k);
+                cache.kth_sim = cache.sims.get(k - 1).copied();
             }
             // The new node's own prefix, built the way `CachedCut::new`
             // builds every row: similarity descending, ties by ascending
@@ -616,27 +776,15 @@ impl CachedCut {
             let cmp = |&a: &usize, &b: &usize| sims[b].total_cmp(&sims[a]).then(a.cmp(&b));
             select_top_k(&mut neighbours, k, cmp);
             neighbours.sort_by(cmp);
-            let kth_sim = (neighbours.len() >= k).then(|| sims[neighbours[k - 1]]);
-            self.topk.push(TopKCache {
-                prefix: neighbours,
-                kth_sim,
-            });
+            let own_sims = neighbours.iter().map(|&j| sims[j]).collect();
+            self.topk.push(TopKCache::new(neighbours, own_sims, k));
         }
 
         self.n = n + 1;
         // Rank-k similarities changed for every displaced node and one
         // node was added: recompute the (for any sane matrix, empty)
         // negative-NaN corner list in one O(n) sweep.
-        self.neg_nan_kth = self
-            .topk
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| {
-                matches!(t.kth_sim, Some(kth)
-                    if f32::NEG_INFINITY.total_cmp(&kth) == Ordering::Greater)
-            })
-            .map(|(i, _)| i)
-            .collect();
+        self.neg_nan_kth = neg_nan_kth(&self.topk);
         Ok(())
     }
 }
@@ -911,11 +1059,13 @@ pub enum EngineMode {
     Quant { rerank: usize },
 }
 
-/// Precomputed online serving state over a [`QueryModel`].
+/// Precomputed online serving state over a [`QueryModel`] and its
+/// [`CachedCut`].
 ///
-/// Build once per fitted [`Pipeline`] or loaded [`PipelineSnapshot`]
-/// (`O(n²)` — the same work one legacy query paid), then serve every query
-/// in `O(n·d + n log n)` with answers identical to
+/// Build once per fitted [`Pipeline`] (whose cut costs `O(n²)` — the same
+/// work one legacy query paid) or loaded [`PipelineSnapshot`] (which
+/// carries its cut, so the build is `O(n·d)`), then serve every query in
+/// `O(n·d + n log n)` with answers identical to
 /// [`crate::online::link_query`].
 #[derive(Debug, Clone)]
 pub struct QueryEngine<'a> {
@@ -944,19 +1094,28 @@ pub(crate) struct EngineParts {
 }
 
 impl<'a> QueryEngine<'a> {
-    /// Precompute the normalized author rows and the cached graph cut.
-    /// The engine serves [`EngineMode::Exact`] until
-    /// [`QueryEngine::with_mode`] picks another plan.
+    /// Precompute the normalized author rows and serve them with `cut`,
+    /// the model's cached graph cut. The engine serves
+    /// [`EngineMode::Exact`] until [`QueryEngine::with_mode`] picks
+    /// another plan.
     ///
     /// # Errors
-    /// [`CoreError`] when the model's `x_total` is ragged.
-    pub fn new(model: QueryModel<'a>) -> Result<QueryEngine<'a>, CoreError> {
+    /// [`CoreError::Invalid`] when the cut and the author matrices
+    /// disagree on the author count.
+    pub fn new(model: QueryModel<'a>, cut: Arc<CachedCut>) -> Result<QueryEngine<'a>, CoreError> {
         let obs = soulmate_obs::global();
         let start = std::time::Instant::now();
+        let n = model.author_content.rows();
+        if cut.n_authors() != n || model.author_concept.rows() != n {
+            return Err(CoreError::Invalid(format!(
+                "cut over {} authors, author matrices with {n} and {} rows",
+                cut.n_authors(),
+                model.author_concept.rows()
+            )));
+        }
         let content_rows = NormalizedRows::from_matrix(model.author_content);
         let concept_rows =
             NormalizedRows::from_matrix(&center_rows(model.author_concept, model.concept_means));
-        let cut = CachedCut::new(model.x_total, model.graph_min_sim, model.graph_top_k)?;
         obs.record_duration("engine.build.seconds", start.elapsed());
         obs.incr("engine.builds", 1);
         obs.set_gauge("engine.n_authors", cut.n_authors() as f64);
@@ -965,7 +1124,7 @@ impl<'a> QueryEngine<'a> {
             parts: EngineParts {
                 content_rows: Arc::new(content_rows),
                 concept_rows: Arc::new(concept_rows),
-                cut: Arc::new(cut),
+                cut,
                 index: None,
                 quant: None,
                 mode: EngineMode::Exact,
@@ -1490,13 +1649,17 @@ fn probe_vector(q: &QueryVectors) -> Vec<f32> {
     v
 }
 
-/// Build the amortized serving engine over `model`, serving `mode`: the
-/// IVF plan builds an index from the model's own matrices with
-/// [`IvfConfig::default`], the quantized plan builds the i8 state.
-/// (Custom index configurations go through [`QueryEngine::build_index`]
-/// and [`QueryEngine::with_mode`].)
-fn plan_engine(model: QueryModel<'_>, mode: EngineMode) -> Result<QueryEngine<'_>, CoreError> {
-    let mut engine = QueryEngine::new(model)?;
+/// Build the amortized serving engine over `model` and its `cut`,
+/// serving `mode`: the IVF plan builds an index from the model's own
+/// matrices with [`IvfConfig::default`], the quantized plan builds the
+/// i8 state. (Custom index configurations go through
+/// [`QueryEngine::build_index`] and [`QueryEngine::with_mode`].)
+fn plan_engine(
+    model: QueryModel<'_>,
+    cut: Arc<CachedCut>,
+    mode: EngineMode,
+) -> Result<QueryEngine<'_>, CoreError> {
+    let mut engine = QueryEngine::new(model, cut)?;
     match mode {
         EngineMode::Exact => {}
         EngineMode::Ivf { .. } => engine.build_index(&IvfConfig::default())?,
@@ -1508,29 +1671,36 @@ fn plan_engine(model: QueryModel<'_>, mode: EngineMode) -> Result<QueryEngine<'_
 
 impl Pipeline {
     /// Build the amortized serving engine over this fitted pipeline,
-    /// serving `mode` (see [`PipelineSnapshot::query_engine`]).
+    /// serving `mode` (see [`PipelineSnapshot::query_engine`]): the cut
+    /// is built from `x_total` here, in `O(n²)`.
     ///
     /// # Errors
     /// [`CoreError`] when the fused similarity matrix is ragged (cannot
     /// happen for a pipeline fitted by [`Pipeline::fit`]) or the index
     /// cannot be built.
     pub fn query_engine(&self, mode: EngineMode) -> Result<QueryEngine<'_>, CoreError> {
-        plan_engine(self.query_model(), mode)
+        let cut = CachedCut::new(
+            &self.x_total,
+            self.config.graph_min_sim,
+            self.config.graph_top_k,
+        )?;
+        plan_engine(self.query_model(), Arc::new(cut), mode)
     }
 }
 
 impl PipelineSnapshot {
     /// Build the amortized serving engine over this loaded snapshot,
-    /// serving `mode`: the IVF plan builds an index from the snapshot's
-    /// own matrices with [`IvfConfig::default`], the quantized plan builds
-    /// the i8 state. (Custom index configurations go through
-    /// [`QueryEngine::build_index`] and [`QueryEngine::with_mode`].)
+    /// serving `mode`, sharing the snapshot's cut: the IVF plan builds an
+    /// index from the snapshot's own matrices with [`IvfConfig::default`],
+    /// the quantized plan builds the i8 state. (Custom index
+    /// configurations go through [`QueryEngine::build_index`] and
+    /// [`QueryEngine::with_mode`].)
     ///
     /// # Errors
-    /// [`CoreError`] when the snapshot's `x_total` is ragged (a validated
-    /// snapshot never is) or the index cannot be built.
+    /// [`CoreError`] when the cut does not cover the snapshot's authors (a
+    /// validated snapshot's always does) or the index cannot be built.
     pub fn query_engine(&self, mode: EngineMode) -> Result<QueryEngine<'_>, CoreError> {
-        plan_engine(self.query_model(), mode)
+        plan_engine(self.query_model(), Arc::clone(&self.cut), mode)
     }
 }
 
@@ -1711,16 +1881,9 @@ mod tests {
             grown.push(qrow);
 
             let mut cut = CachedCut::new(&x, min_sim, top_k).unwrap();
-            cut.insert_author(&grown, &sims).unwrap();
+            cut.insert_author(&sims).unwrap();
             let want = CachedCut::new(&grown, min_sim, top_k).unwrap();
-            assert_eq!(want.n, cut.n);
-            assert_eq!(&want.base_edges, &cut.base_edges);
-            assert_eq!(want.topk.len(), cut.topk.len());
-            for (w, g) in want.topk.iter().zip(&cut.topk) {
-                assert_eq!(&w.prefix, &g.prefix);
-                assert_eq!(w.kth_sim.map(f32::to_bits), g.kth_sim.map(f32::to_bits));
-            }
-            assert_eq!(&want.neg_nan_kth, &cut.neg_nan_kth);
+            assert_same_cut(&want, &cut);
         });
     }
 
@@ -1827,15 +1990,9 @@ mod tests {
                 let mut qrow = sims.clone();
                 qrow.push(1.0);
                 grown.push(qrow);
-                cut.insert_author(&grown, sims).unwrap();
+                cut.insert_author(sims).unwrap();
                 let want = CachedCut::new(&grown, min_sim, top_k).unwrap();
-                assert_eq!(want.n, cut.n, "min_sim={min_sim} k={top_k}");
-                assert_eq!(want.base_edges, cut.base_edges);
-                for (w, g) in want.topk.iter().zip(&cut.topk) {
-                    assert_eq!(w.prefix, g.prefix);
-                    assert_eq!(w.kth_sim.map(f32::to_bits), g.kth_sim.map(f32::to_bits));
-                }
-                assert_eq!(want.neg_nan_kth, cut.neg_nan_kth);
+                assert_same_cut(&want, &cut);
             }
         }
     }
@@ -1844,20 +2001,59 @@ mod tests {
     fn insert_author_rejects_bad_shapes() {
         let x = vec![vec![1.0, 0.2], vec![0.2, 1.0]];
         let mut cut = CachedCut::new(&x, 0.0, 1).unwrap();
-        // Wrong sims length.
-        assert!(matches!(
-            cut.insert_author(&x, &[0.5]),
-            Err(CoreError::Invalid(_))
-        ));
-        // Base matrix smaller than n x n.
-        assert!(matches!(
-            cut.insert_author(&[vec![1.0, 0.2]], &[0.5, 0.5]),
-            Err(CoreError::Invalid(_))
-        ));
-        assert!(matches!(
-            cut.insert_author(&[vec![1.0], vec![0.2]], &[0.5, 0.5]),
-            Err(CoreError::Invalid(_))
-        ));
+        // Wrong sims length, short and long.
+        for sims in [&[0.5][..], &[0.5, 0.5, 0.5]] {
+            assert!(matches!(
+                cut.insert_author(sims),
+                Err(CoreError::Invalid(_))
+            ));
+        }
+        assert_eq!(cut.n_authors(), 2, "a rejected insert leaves the cut alone");
+    }
+
+    /// A cut reassembled from its own parts — what a schema-3 snapshot
+    /// persists — is the cut, field for field.
+    #[test]
+    fn from_parts_reassembles_the_cut() {
+        let x = vec![
+            vec![1.0, 0.5, -0.25, 0.75],
+            vec![0.5, 1.0, 0.75, 0.5],
+            vec![-0.25, 0.75, 1.0, 0.0],
+            vec![0.75, 0.5, 0.0, 1.0],
+        ];
+        for (min_sim, top_k) in [(0.6f32, 0usize), (0.6, 2), (10.0, 1), (-1.0, 5)] {
+            let cut = CachedCut::new(&x, min_sim, top_k).unwrap();
+            let prefixes = (0..cut.n_authors())
+                .map(|i| {
+                    let (ids, sims) = cut.prefix(i);
+                    (ids.to_vec(), sims.to_vec())
+                })
+                .collect();
+            let back =
+                CachedCut::from_parts(4, min_sim, top_k, cut.base_edges.clone(), prefixes).unwrap();
+            assert_same_cut(&cut, &back);
+        }
+    }
+
+    /// Every field of two cuts agrees, floats bitwise.
+    fn assert_same_cut(want: &CachedCut, got: &CachedCut) {
+        let bits = |c: &CachedCut| -> Vec<(usize, usize, u32)> {
+            c.base_edges
+                .iter()
+                .map(|e| (e.u, e.v, e.w.to_bits()))
+                .collect()
+        };
+        assert_eq!(want.n, got.n);
+        assert_eq!(want.top_k, got.top_k);
+        assert_eq!(bits(want), bits(got));
+        assert_eq!(want.topk.len(), got.topk.len());
+        for (w, g) in want.topk.iter().zip(&got.topk) {
+            assert_eq!(w.prefix, g.prefix);
+            let sim_bits = |t: &TopKCache| t.sims.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+            assert_eq!(sim_bits(w), sim_bits(g));
+            assert_eq!(w.kth_sim.map(f32::to_bits), g.kth_sim.map(f32::to_bits));
+        }
+        assert_eq!(want.neg_nan_kth, got.neg_nan_kth);
     }
 
     #[test]
@@ -1949,7 +2145,7 @@ mod tests {
         assert_eq!(engine.n_authors(), p.n_authors());
         for author in [0u32, 3, 7, 11] {
             let tweets = author_tweets(&d, author, 8);
-            let legacy = link_query(&model, &tweets).unwrap();
+            let legacy = link_query(&model, &p.x_total, &tweets).unwrap();
             let fast = link_one(&engine, &tweets);
             assert_eq!(legacy.query_index, fast.query_index);
             assert_eq!(legacy.similarities, fast.similarities, "author {author}");
@@ -1961,7 +2157,7 @@ mod tests {
         // Cold start: a single tweet.
         let t = d.tweets[0].clone();
         let single = vec![(t.timestamp, t.text)];
-        let legacy = link_query(&model, &single).unwrap();
+        let legacy = link_query(&model, &p.x_total, &single).unwrap();
         let fast = link_one(&engine, &single);
         assert_eq!(legacy.similarities, fast.similarities);
         assert_eq!(legacy.subgraph, fast.subgraph);
@@ -1981,7 +2177,7 @@ mod tests {
         let p = Pipeline::fit(&d, PipelineConfig::fast()).unwrap();
         let engine = p.query_engine(EngineMode::Exact).unwrap();
         let tweets = author_tweets(&d, 1, 5);
-        let legacy = link_query(&p.query_model(), &tweets).unwrap();
+        let legacy = link_query(&p.query_model(), &p.x_total, &tweets).unwrap();
         let fast = link_one(&engine, &tweets);
         assert_eq!(legacy.similarities, fast.similarities);
         assert_eq!(legacy.subgraph, fast.subgraph);
@@ -2023,7 +2219,7 @@ mod tests {
         assert!(Arc::ptr_eq(&engine.parts.cut, &exact.parts.cut));
         assert!(exact.quant_enabled());
         let tweets = author_tweets(&d, 6, 6);
-        let want = link_query(&p.query_model(), &tweets).unwrap();
+        let want = link_query(&p.query_model(), &p.x_total, &tweets).unwrap();
         let got = link_one(&exact, &tweets);
         assert_eq!(want.similarities, got.similarities);
         assert_eq!(want.subgraph, got.subgraph);

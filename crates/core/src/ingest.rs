@@ -10,13 +10,15 @@
 //!   vectorized against the *frozen* offline model (the same
 //!   [`crate::online::vectorize_query`] the query path uses, so an
 //!   ingested author's vectors are bit-identical to what a query with
-//!   the same tweets would compute), appended to the author matrices and
-//!   similarity structures, and spliced into the cached graph cut via
-//!   [`crate::engine::CachedCut::insert_author`] — `O(n·d + n·k + n log n)` per author instead of
-//!   a refit. Under the frozen-embedding contract the delta-updated
-//!   engine answers queries **bit-identically** to an engine rebuilt
-//!   from scratch over the grown snapshot (pinned by a property test); only a
-//!   full refit can change the embedding itself.
+//!   the same tweets would compute), appended to the author rows and
+//!   handles, and spliced into the cached graph cut via
+//!   [`crate::engine::CachedCut::insert_author`] — `O(n·d + n·k + n log n)`
+//!   per author instead of a refit. No generation holds the `n²`
+//!   `X^Total`, so none is copied or grown. Under the frozen-embedding
+//!   contract the delta-updated engine answers queries **bit-identically**
+//!   to an engine whose cut is rebuilt with [`crate::engine::CachedCut::new`]
+//!   over the grown dense matrix (pinned by a property test); only a full
+//!   refit can change the embedding itself.
 //! * **Refit path** ([`RefitManager`]) — the existing
 //!   [`Trigger`] (Section 4.2.1) counts arriving tweets and schedules a
 //!   full [`Pipeline::fit`] over the grown dataset as a background job;
@@ -77,7 +79,8 @@ pub struct IngestOutcome {
 }
 
 /// An owned, swappable serving state: a [`PipelineSnapshot`] plus the
-/// engine's derived structures, every heavy piece behind an `Arc`.
+/// engine's derived structures, every heavy piece behind an `Arc` — the
+/// snapshot's cut *is* the engine's, so a generation keeps one copy.
 ///
 /// [`QueryEngine`] borrows its model, which is the right shape for a CLI
 /// one-shot but cannot be swapped under a running server (the workers'
@@ -133,13 +136,11 @@ impl EngineGeneration {
     ///
     /// Per author: vectorize with the query-path machinery, compute the
     /// fused similarity row against the current rows (unit-dot +
-    /// [`fused_row_from_dots`], bit-identical to a query's row), grow
-    /// the snapshot matrices and `x_total` (the new diagonal entry is
-    /// the author's fused self-similarity — the same value a refit's
-    /// cosine diagonal would z-score to; the graph cut skips diagonals
-    /// either way), and splice the new edges into the cached cut. The
-    /// quantized state is rebuilt (deterministic); an IVF index is
-    /// detached until the next refit.
+    /// [`fused_row_from_dots`], bit-identical to a query's row), grow the
+    /// author rows and handles, and splice the new edges into the cached
+    /// cut — `O(n·d + n·k + n log n)`, nothing `n²`. The quantized state
+    /// is rebuilt (deterministic); an IVF index is detached until the
+    /// next refit.
     ///
     /// # Errors
     /// [`CoreError::Invalid`] when `batches` is empty or any author has
@@ -169,8 +170,8 @@ impl EngineGeneration {
 
             // The new author's fused similarity row against every
             // existing author — the exact sequence the query path runs,
-            // so the grown x_total entry for (existing, new) is bitwise
-            // the score a query with these tweets would have reported.
+            // so the new (existing, new) entries of X^Total are bitwise
+            // the scores a query with these tweets would have reported.
             let content_dots: Vec<f32> = (0..n)
                 .map(|a| dot(&q.content_unit, content_rows.unit_row(a)))
                 .collect();
@@ -178,27 +179,10 @@ impl EngineGeneration {
                 .map(|a| dot(&q.concept_centered_unit, concept_rows.unit_row(a)))
                 .collect();
             let sims = fused_row_from_dots(&snapshot.query_model(), &content_dots, &concept_dots);
-            // Fused self-similarity for the diagonal: unit self-dots
-            // (exactly 1.0 for any non-degenerate vector) through the
-            // same fusion — finite by construction, ignored by the cut.
-            let self_sim = fused_row_from_dots(
-                &snapshot.query_model(),
-                &[dot(&q.content_unit, &q.content_unit)],
-                &[dot(&q.concept_centered_unit, &q.concept_centered_unit)],
-            )
-            .first()
-            .copied()
-            .ok_or(CoreError::Internal("one self-dot in, one score out"))?;
 
-            // Grow the snapshot: raw vectors, handle, x_total column+row.
+            // Grow the snapshot's raw vectors and handles.
             snapshot.author_content.push_row(&q.content)?;
             snapshot.author_concept.push_row(&q.concept)?;
-            for (row, &s) in snapshot.x_total.iter_mut().zip(&sims) {
-                row.push(s);
-            }
-            let mut qrow = sims.clone();
-            qrow.push(self_sim);
-            snapshot.x_total.push(qrow);
             snapshot.author_handles.push(batch.handle.clone());
 
             // Grow the derived rows with the same normalization
@@ -208,7 +192,7 @@ impl EngineGeneration {
             let mut centered = q.concept.clone();
             sub_assign(&mut centered, &snapshot.concept_means);
             concept_rows.push(&centered)?;
-            cut.insert_author(&snapshot.x_total, &sims)?;
+            cut.insert_author(&sims)?;
 
             total_tweets += batch.tweets.len() as u64;
             outcomes.push(IngestOutcome {
@@ -218,10 +202,12 @@ impl EngineGeneration {
             });
         }
 
+        let cut = Arc::new(cut);
+        snapshot.cut = Arc::clone(&cut);
         let mut parts = EngineParts {
             content_rows: Arc::new(content_rows),
             concept_rows: Arc::new(concept_rows),
-            cut: Arc::new(cut),
+            cut,
             index: None,
             quant: None,
             mode: self.parts.mode,
@@ -438,10 +424,13 @@ impl RefitManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::CachedCut;
     use crate::online::QueryOutcome;
     use crate::pipeline::PipelineConfig;
+    use crate::similarity::center_rows;
     use soulmate_check::check;
     use soulmate_corpus::{generate, GeneratorConfig};
+    use soulmate_linalg::kernels::NormalizedRows;
 
     fn fitted() -> (Dataset, Pipeline) {
         let d = generate(&GeneratorConfig {
@@ -457,18 +446,69 @@ mod tests {
         (d, p)
     }
 
-    static FIT_SHARED: std::sync::OnceLock<(Dataset, PipelineSnapshot)> =
-        std::sync::OnceLock::new();
+    type Shared = (Dataset, PipelineSnapshot, Vec<Vec<f32>>);
 
-    /// One fitted snapshot shared across property-test cases — fitting
-    /// dominates the case body by orders of magnitude.
-    fn fitted_shared() -> &'static (Dataset, PipelineSnapshot) {
-        FIT_SHARED.get_or_init(|| {
+    static FIT_SHARED: std::sync::OnceLock<Shared> = std::sync::OnceLock::new();
+
+    /// One fitted snapshot, and the fit's dense `x_total` for the
+    /// references, shared across property-test cases — fitting dominates
+    /// the case body by orders of magnitude.
+    fn fitted_shared() -> (
+        &'static Dataset,
+        &'static PipelineSnapshot,
+        &'static [Vec<f32>],
+    ) {
+        let (d, snapshot, x_total) = FIT_SHARED.get_or_init(|| {
             let (d, p) = fitted();
             let handles: Vec<String> = d.authors.iter().map(|a| a.handle.clone()).collect();
             let snapshot = p.snapshot(&handles);
-            (d, snapshot)
-        })
+            (d, snapshot, p.x_total)
+        });
+        (d, snapshot, x_total)
+    }
+
+    /// The grown dense `X^Total` a refit under the frozen model would
+    /// cut: the fitted `x_total` bordered by each ingested author's fused
+    /// row against every earlier author, scored from the grown author
+    /// matrices with the query path's unit-dot + fusion sequence.
+    fn grown_dense(x_total: &[Vec<f32>], snap: &PipelineSnapshot) -> Vec<Vec<f32>> {
+        let model = snap.query_model();
+        let content = NormalizedRows::from_matrix(&snap.author_content);
+        let concept =
+            NormalizedRows::from_matrix(&center_rows(&snap.author_concept, &snap.concept_means));
+        let mut x = x_total.to_vec();
+        for m in x.len()..snap.n_authors() {
+            let dots = |rows: &NormalizedRows| -> Vec<f32> {
+                (0..m)
+                    .map(|a| dot(rows.unit_row(m), rows.unit_row(a)))
+                    .collect()
+            };
+            let row = fused_row_from_dots(&model, &dots(&content), &dots(&concept));
+            for (r, &s) in x.iter_mut().zip(&row) {
+                r.push(s);
+            }
+            let mut own = row;
+            own.push(1.0); // the diagonal, which the cut never reads
+            x.push(own);
+        }
+        x
+    }
+
+    /// The reference a delta generation must answer like: an engine over
+    /// its model whose cut is rebuilt by [`CachedCut::new`] over the grown
+    /// dense matrix.
+    fn rebuilt_engine<'a>(
+        generation: &'a EngineGeneration,
+        x_total: &[Vec<f32>],
+    ) -> QueryEngine<'a> {
+        let snap = generation.snapshot();
+        let cut = CachedCut::new(
+            &grown_dense(x_total, snap),
+            snap.graph_min_sim,
+            snap.graph_top_k,
+        )
+        .unwrap();
+        QueryEngine::new(snap.query_model(), Arc::new(cut)).unwrap()
     }
 
     fn author_tweets(d: &Dataset, author: u32, take: usize) -> Vec<(Timestamp, String)> {
@@ -497,14 +537,15 @@ mod tests {
 
     /// The delta-vs-refit contract, engine level: after N delta inserts
     /// the generation's engine must answer `link_query_authors`
-    /// **bit-identically** to a from-scratch engine built over the grown
-    /// snapshot (same matrices, same `x_total`) — similarities,
-    /// subgraphs and average weights all exact. What stays approximate
-    /// until a real refit is only the frozen embedding itself; given the
-    /// frozen resources, delta and rebuild are the same function.
+    /// **bit-identically** to a from-scratch engine over the grown model
+    /// whose cut `CachedCut::new` rebuilds from the grown dense matrix —
+    /// similarities, subgraphs and average weights all exact. What stays
+    /// approximate until a real refit is only the frozen embedding
+    /// itself; given the frozen resources, delta and rebuild are the same
+    /// function.
     #[test]
     fn delta_ingest_matches_from_scratch_engine_on_grown_snapshot() {
-        let (d, snapshot) = fitted_shared();
+        let (d, snapshot, x_total) = fitted_shared();
         let gen0 = EngineGeneration::from_snapshot(snapshot.clone(), EngineMode::Exact).unwrap();
         let n0 = gen0.n_authors();
 
@@ -521,8 +562,9 @@ mod tests {
         assert_eq!(gen0.n_authors(), n0, "source generation is untouched");
         assert_eq!(gen1.snapshot().author_handles[n0], "ingest-a");
 
-        let fresh = QueryEngine::new(gen1.snapshot().query_model()).unwrap();
+        let fresh = rebuilt_engine(&gen1, x_total);
         let delta = gen1.engine();
+        assert_eq!(fresh.cut().base_edges(), delta.cut().base_edges());
         let queries: Vec<Vec<(Timestamp, String)>> = [0u32, 5, 9, 13]
             .iter()
             .map(|&a| author_tweets(d, a, 7))
@@ -548,7 +590,7 @@ mod tests {
             let sources = g.vec(1..5, |g| (g.u32(0..18), g.usize(3..12)));
             let query_author = g.u32(0..18);
 
-            let (d, snapshot) = fitted_shared();
+            let (d, snapshot, x_total) = fitted_shared();
             let gen0 =
                 EngineGeneration::from_snapshot(snapshot.clone(), EngineMode::Exact).unwrap();
             let batches: Vec<IngestBatch> = sources
@@ -559,7 +601,7 @@ mod tests {
             let (gen1, _) = gen0.ingest(&batches).unwrap();
             assert_eq!(gen1.n_authors(), gen0.n_authors() + batches.len());
 
-            let fresh = QueryEngine::new(gen1.snapshot().query_model()).unwrap();
+            let fresh = rebuilt_engine(&gen1, x_total);
             let tweets = author_tweets(d, query_author, 6);
             let want = link_one(&fresh, &tweets);
             let got = link_one(&gen1.engine(), &tweets);
@@ -572,7 +614,7 @@ mod tests {
 
     #[test]
     fn quant_generation_rebuilds_quant_state_on_ingest() {
-        let (d, snapshot) = fitted_shared();
+        let (d, snapshot, _) = fitted_shared();
         let gen0 =
             EngineGeneration::from_snapshot(snapshot.clone(), EngineMode::Quant { rerank: 0 })
                 .unwrap();
@@ -595,7 +637,7 @@ mod tests {
 
     #[test]
     fn ivf_generation_detaches_index_on_ingest() {
-        let (d, snapshot) = fitted_shared();
+        let (d, snapshot, _) = fitted_shared();
         let gen0 = EngineGeneration::from_snapshot(snapshot.clone(), EngineMode::Ivf { nprobe: 0 })
             .unwrap();
         assert!(gen0.engine().index().is_some());
@@ -614,7 +656,7 @@ mod tests {
 
     #[test]
     fn ingest_rejects_empty_and_unvectorizable_batches() {
-        let (_, snapshot) = fitted_shared();
+        let (_, snapshot, _) = fitted_shared();
         let gen0 = EngineGeneration::from_snapshot(snapshot.clone(), EngineMode::Exact).unwrap();
         assert!(matches!(gen0.ingest(&[]), Err(CoreError::Invalid(_))));
         let no_tweets = IngestBatch {
@@ -631,7 +673,7 @@ mod tests {
 
     #[test]
     fn engine_cell_swaps_generations_atomically() {
-        let (d, snapshot) = fitted_shared();
+        let (d, snapshot, _) = fitted_shared();
         let gen0 = EngineGeneration::from_snapshot(snapshot.clone(), EngineMode::Exact).unwrap();
         let n0 = gen0.n_authors();
         let cell = EngineCell::new(gen0);
@@ -649,7 +691,7 @@ mod tests {
 
     #[test]
     fn zero_interval_trigger_never_fires_through_refit_manager() {
-        let (d, _) = fitted_shared();
+        let (d, _, _) = fitted_shared();
         let manager = RefitManager::new(
             d.clone(),
             PipelineConfig::fast(),
@@ -669,7 +711,7 @@ mod tests {
 
     #[test]
     fn refit_manager_fires_on_interval_and_refits_grown_dataset() {
-        let (d, _) = fitted_shared();
+        let (d, _, _) = fitted_shared();
         let n0 = d.authors.len();
         let manager = RefitManager::new(
             d.clone(),
@@ -697,7 +739,7 @@ mod tests {
 
     #[test]
     fn refit_persists_snapshot_via_binary_writer() {
-        let (d, _) = fitted_shared();
+        let (d, _, _) = fitted_shared();
         let mut path = std::env::temp_dir();
         path.push(format!("soulmate-refit-test-{}.bin", std::process::id()));
         let manager = RefitManager::new(

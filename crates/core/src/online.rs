@@ -61,8 +61,6 @@ pub struct QueryModel<'a> {
     pub concept_stats: (f32, f32),
     /// Off-diagonal (mean, std) of the offline `X^Content`.
     pub content_stats: (f32, f32),
-    /// Fused author similarity matrix `X^Total-α`.
-    pub x_total: &'a [Vec<f32>],
     /// Concept impact ratio α.
     pub alpha: f32,
     /// Word→tweet combiner (Eq 13).
@@ -181,19 +179,25 @@ pub(crate) fn fused_row_from_dots(
         .collect()
 }
 
-/// Include a query author against a [`QueryModel`] and extract their
-/// subgraph (Problems 2 & 3, online side).
+/// Include a query author against a [`QueryModel`] and its dense fused
+/// similarity matrix `x_total` (`X^Total-α`, e.g. [`Pipeline::x_total`])
+/// and extract their subgraph (Problems 2 & 3, online side).
 ///
-/// This is the straightforward reference implementation: it re-normalizes
-/// the author matrices, clones the full `X^Total`, and re-runs the graph
-/// cut from scratch on every call. [`crate::engine::QueryEngine`] serves
-/// the same answers with all of that amortized into a one-time build.
+/// This is the straightforward reference implementation — the bit-parity
+/// oracle the engine is tested against, and the last reader of a dense
+/// `X^Total` on the online side: it re-normalizes the author matrices,
+/// clones the full `x_total`, and re-runs the graph cut from scratch on
+/// every call. [`crate::engine::QueryEngine`] serves the same answers
+/// with all of that amortized into its cached cut, which snapshots
+/// persist instead of the matrix.
 ///
 /// # Errors
 /// [`CoreError::Invalid`] when no tweet yields any in-vocabulary token
-/// (the author cannot be represented at all).
+/// (the author cannot be represented at all); [`CoreError::Graph`] when
+/// `x_total` is not `n × n`.
 pub fn link_query(
     model: &QueryModel<'_>,
+    x_total: &[Vec<f32>],
     tweets: &[(Timestamp, String)],
 ) -> Result<QueryOutcome, CoreError> {
     let q = vectorize_query(model, tweets)?;
@@ -215,8 +219,7 @@ pub fn link_query(
     let concept_vector = q.concept;
 
     // Extend X^Total with the query row/column and cut the graph.
-    let mut extended: Vec<Vec<f32>> = model
-        .x_total
+    let mut extended: Vec<Vec<f32>> = x_total
         .iter()
         .enumerate()
         .map(|(i, row)| {
@@ -260,7 +263,6 @@ impl Pipeline {
             concept_means: &self.concept_means,
             concept_stats: self.concept_stats,
             content_stats: self.content_stats,
-            x_total: &self.x_total,
             alpha: self.config.alpha,
             tweet_combiner: self.config.tweet_combiner,
             graph_min_sim: self.config.graph_min_sim,
@@ -361,7 +363,7 @@ mod tests {
             .take(8)
             .map(|t| (t.timestamp, t.text.clone()))
             .collect();
-        let out = link_query(&p.query_model(), &tweets).unwrap();
+        let out = link_query(&p.query_model(), &p.x_total, &tweets).unwrap();
         assert_eq!(out.query_index, 20);
         assert!(out.subgraph.contains(&20));
         assert_eq!(out.similarities.len(), 20);
@@ -381,7 +383,7 @@ mod tests {
             .filter(|t| t.author == 3)
             .map(|t| (t.timestamp, t.text.clone()))
             .collect();
-        let out = link_query(&p.query_model(), &tweets).unwrap();
+        let out = link_query(&p.query_model(), &p.x_total, &tweets).unwrap();
         let s3 = out.similarities[3];
         let avg: f32 = out.similarities.iter().sum::<f32>() / out.similarities.len() as f32;
         assert!(s3 > avg, "self-similarity {s3} not above average {avg}");
@@ -391,16 +393,21 @@ mod tests {
     fn cold_start_single_tweet_works() {
         let (d, p) = fitted();
         let tweet = d.tweets[0].clone();
-        let out = link_query(&p.query_model(), &[(tweet.timestamp, tweet.text)]).unwrap();
+        let out = link_query(
+            &p.query_model(),
+            &p.x_total,
+            &[(tweet.timestamp, tweet.text)],
+        )
+        .unwrap();
         assert!(!out.subgraph.is_empty());
     }
 
     #[test]
     fn rejects_empty_and_oov_queries() {
         let (_, p) = fitted();
-        assert!(link_query(&p.query_model(), &[]).is_err());
+        assert!(link_query(&p.query_model(), &p.x_total, &[]).is_err());
         let gibberish = vec![(Timestamp(0), "qqqqxyzzzz wwwwqqq".to_string())];
-        assert!(link_query(&p.query_model(), &gibberish).is_err());
+        assert!(link_query(&p.query_model(), &p.x_total, &gibberish).is_err());
     }
 
     #[test]
@@ -461,7 +468,7 @@ mod tests {
             .take(6)
             .map(|t| (t.timestamp, t.text.clone()))
             .collect();
-        let out = link_query(&p.query_model(), &tweets).unwrap();
+        let out = link_query(&p.query_model(), &p.x_total, &tweets).unwrap();
         assert!(out.similarities.iter().all(|s| s.is_finite()));
         assert!(!out.subgraph.is_empty());
     }

@@ -39,15 +39,33 @@
 //!   centering is what keeps clustered embedding matrices rankable). The
 //!   loader dequantizes into the ordinary `f32` snapshot fields, so every
 //!   downstream consumer is oblivious to quantization.
-use super::{atomic_write, CombinerTag, PipelineSnapshot, SNAPSHOT_VERSION, SNAPSHOT_VERSION_MIN};
+//! * `ENC_EDGES` — the `backbone` section: `count u64`, then `count`
+//!   edges `(u u32, v u32, w f32)` in SW-MST pop order, `u < v`.
+//! * `ENC_TOPK` — the `topk` section: `n u64, k u64`, then per author
+//!   `len u32` and `len` pairs `(id u32, sim f32)`, strongest first.
+//!
+//! ## Logical schemas
+//!
+//! Schema 3 (the only one written) carries the cached cut as `backbone`
+//! and `topk` and no `x_total`. Schemas 1–2 carried the dense `x_total`
+//! instead; the loader checks it as before, builds the cut from it and
+//! drops it. `--quantize` applies to the author matrices only, so the
+//! cut of a quantized file is the fitted one, bit for bit.
+use super::{
+    atomic_write, cut_from_dense, CombinerTag, PipelineSnapshot, DENSE_VERSION_MAX,
+    SNAPSHOT_VERSION, SNAPSHOT_VERSION_MIN,
+};
+use crate::engine::{max_backbone_edges, CachedCut};
 use crate::error::CoreError;
 use serde::{Deserialize, Serialize};
 use soulmate_embedding::Embedding;
+use soulmate_graph::Edge;
 use soulmate_linalg::{CenteredQuantizedRows, Matrix, QuantizedRows};
 use soulmate_text::TokenizerConfig;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
+use std::sync::Arc;
 
 /// Leading bytes of every binary snapshot.
 pub const BINARY_MAGIC: [u8; 8] = *b"SOULSNAP";
@@ -56,7 +74,7 @@ pub const BINARY_MAGIC: [u8; 8] = *b"SOULSNAP";
 pub const BINARY_VERSION: u32 = 3;
 
 /// Hard cap on the section count a reader will accept. The writer emits
-/// seven sections; the cap bounds the header read for corrupt or
+/// eight sections; the cap bounds the header read for corrupt or
 /// adversarial counts.
 pub const MAX_SECTIONS: u32 = 64;
 
@@ -72,28 +90,39 @@ const KIND_COLLECTIVE: u32 = 3;
 const KIND_CENTROIDS: u32 = 4;
 const KIND_AUTHOR_CONTENT: u32 = 5;
 const KIND_AUTHOR_CONCEPT: u32 = 6;
+/// The dense fused matrix of schema 1–2 files; read, never written.
 const KIND_X_TOTAL: u32 = 7;
 /// A persisted IVF index, written only by earlier releases. The reader
 /// still applies every table rule and the checksum to it, then ignores
 /// it: the IVF plan builds its index from the snapshot's own matrices.
 const KIND_INDEX: u32 = 8;
+/// The cut's backbone (schema 3).
+const KIND_BACKBONE: u32 = 9;
+/// The cut's top-k prefixes (schema 3).
+const KIND_TOPK: u32 = 10;
 
-/// Section kinds every valid snapshot must carry ([`KIND_INDEX`] is the
-/// only optional one).
-const REQUIRED_KINDS: [u32; 7] = [
+/// Section kinds every valid snapshot must carry, whatever its schema.
+/// On top of these a file carries the cut as either [`KIND_X_TOTAL`]
+/// (schema 1–2) or [`KIND_BACKBONE`] + [`KIND_TOPK`] (schema 3);
+/// [`KIND_INDEX`] is optional.
+const REQUIRED_KINDS: [u32; 6] = [
     KIND_META,
     KIND_VOCAB,
     KIND_COLLECTIVE,
     KIND_CENTROIDS,
     KIND_AUTHOR_CONTENT,
     KIND_AUTHOR_CONCEPT,
-    KIND_X_TOTAL,
 ];
 
 /// Section payload encodings.
 const ENC_JSON: u32 = 0;
 const ENC_F32: u32 = 1;
 const ENC_QI8: u32 = 2;
+const ENC_EDGES: u32 = 3;
+const ENC_TOPK: u32 = 4;
+
+/// Bytes per persisted backbone edge: `u u32, v u32, w f32`.
+const EDGE_LEN: usize = 12;
 
 /// Human-readable name of a section kind (for `soulmate inspect`).
 fn kind_name(kind: u32) -> &'static str {
@@ -106,6 +135,8 @@ fn kind_name(kind: u32) -> &'static str {
         KIND_AUTHOR_CONCEPT => "author_concept",
         KIND_X_TOTAL => "x_total",
         KIND_INDEX => "index",
+        KIND_BACKBONE => "backbone",
+        KIND_TOPK => "topk",
         _ => "unknown",
     }
 }
@@ -116,6 +147,8 @@ fn encoding_name(encoding: u32) -> &'static str {
         ENC_JSON => "json",
         ENC_F32 => "f32",
         ENC_QI8 => "qi8",
+        ENC_EDGES => "edges",
+        ENC_TOPK => "topk",
         _ => "unknown",
     }
 }
@@ -125,9 +158,10 @@ fn encoding_name(encoding: u32) -> &'static str {
 /// keeps them schema-evolvable exactly like the v1/v2 formats).
 #[derive(Serialize, Deserialize)]
 struct MetaSection {
-    /// Logical snapshot schema version (the JSON-era 1..=2), preserved
-    /// through binary round-trips. The *container* version lives in the
-    /// prelude and is always [`BINARY_VERSION`].
+    /// Logical snapshot schema version: 3 for what the writer emits,
+    /// 1..=2 for files that persisted the dense `x_total`. The
+    /// *container* version lives in the prelude and is always
+    /// [`BINARY_VERSION`].
     version: u32,
     tokenizer: TokenizerConfig,
     alpha: f32,
@@ -288,13 +322,49 @@ fn encode_matrix_qi8(m: &Matrix) -> Vec<u8> {
     out
 }
 
-/// Densify a `Vec<Vec<f32>>` field (x_total, centroids) for the matrix
-/// encoders. Ragged rows are a [`CoreError::Linalg`] via `from_rows`.
+/// Densify the centroids for the matrix encoders. Ragged rows are a
+/// [`CoreError::Linalg`] via `from_rows`.
 fn rows_to_matrix(rows: &[Vec<f32>]) -> Result<Matrix, CoreError> {
     if rows.is_empty() {
         return Ok(Matrix::zeros(0, 0));
     }
     Matrix::from_rows(rows).map_err(CoreError::from)
+}
+
+/// A `usize` that must fit the format's `u32` ids and lengths.
+fn to_u32(what: &'static str, v: usize) -> Result<u32, CoreError> {
+    u32::try_from(v).map_err(|_| CoreError::Invalid(format!("{what} {v} does not fit in u32")))
+}
+
+/// The `backbone` payload: the cut's edges in pop order.
+fn encode_backbone(cut: &CachedCut) -> Result<Vec<u8>, CoreError> {
+    let edges = cut.base_edges();
+    let mut out = Vec::with_capacity(8 + edges.len() * EDGE_LEN);
+    push_u64(&mut out, edges.len() as u64);
+    for e in edges {
+        push_u32(&mut out, to_u32("backbone endpoint", e.u)?);
+        push_u32(&mut out, to_u32("backbone endpoint", e.v)?);
+        out.extend_from_slice(&e.w.to_le_bytes());
+    }
+    Ok(out)
+}
+
+/// The `topk` payload: every author's ranked prefix with its
+/// similarities (all empty when `top_k == 0`).
+fn encode_topk(cut: &CachedCut) -> Result<Vec<u8>, CoreError> {
+    let n = cut.n_authors();
+    let mut out = Vec::with_capacity(16 + n * (4 + cut.top_k().min(n) * 8));
+    push_u64(&mut out, n as u64);
+    push_u64(&mut out, cut.top_k() as u64);
+    for i in 0..n {
+        let (ids, sims) = cut.prefix(i);
+        push_u32(&mut out, to_u32("top-k prefix length", ids.len())?);
+        for (&id, s) in ids.iter().zip(sims) {
+            push_u32(&mut out, to_u32("top-k id", id)?);
+            out.extend_from_slice(&s.to_le_bytes());
+        }
+    }
+    Ok(out)
 }
 
 fn to_json<T: Serialize>(what: &'static str, value: &T) -> Result<Vec<u8>, CoreError> {
@@ -328,7 +398,8 @@ impl Section {
 
 fn encode_sections(snap: &PipelineSnapshot, quantize: bool) -> Result<Vec<Section>, CoreError> {
     let meta = MetaSection {
-        version: snap.version,
+        // What the writer emits is schema 3 whatever schema was read.
+        version: SNAPSHOT_VERSION,
         tokenizer: snap.tokenizer.clone(),
         alpha: snap.alpha,
         tweet_combiner: snap.tweet_combiner,
@@ -356,9 +427,20 @@ fn encode_sections(snap: &PipelineSnapshot, quantize: bool) -> Result<Vec<Sectio
         // the query side would compound with the author-side error.
         Section::matrix(KIND_COLLECTIVE, snap.collective.matrix(), false),
         Section::matrix(KIND_CENTROIDS, &rows_to_matrix(&snap.centroids)?, false),
+        // The cut is never quantized: a quantized file serves the fitted
+        // cut exactly.
+        Section {
+            kind: KIND_BACKBONE,
+            encoding: ENC_EDGES,
+            payload: encode_backbone(&snap.cut)?,
+        },
+        Section {
+            kind: KIND_TOPK,
+            encoding: ENC_TOPK,
+            payload: encode_topk(&snap.cut)?,
+        },
         Section::matrix(KIND_AUTHOR_CONTENT, &snap.author_content, quantize),
         Section::matrix(KIND_AUTHOR_CONCEPT, &snap.author_concept, quantize),
-        Section::matrix(KIND_X_TOTAL, &rows_to_matrix(&snap.x_total)?, quantize),
     ])
 }
 
@@ -373,14 +455,16 @@ impl PipelineSnapshot {
     /// one path each get their own temporary and the destination only
     /// ever holds a complete snapshot.
     ///
-    /// With `quantize`, the author content/concept matrices and the fused
-    /// `x_total` are stored as per-row i8 (`ENC_QI8`); the collective
-    /// embedding and centroids always stay f32.
+    /// The file is logical schema 3: the cached cut is stored as its
+    /// `backbone` and `topk` sections, never as a dense matrix. With
+    /// `quantize`, the author content/concept matrices are stored as
+    /// per-row i8 (`ENC_QI8`); the collective embedding, the centroids
+    /// and the cut always stay exact.
     ///
     /// # Errors
     /// [`CoreError::Io`] for filesystem failures, [`CoreError::Invalid`] for
-    /// unserializable values, [`CoreError::Linalg`] for ragged
-    /// centroids/x_total rows.
+    /// unserializable values or ids beyond `u32`, [`CoreError::Linalg`]
+    /// for ragged centroid rows.
     pub fn save_binary(&self, path: &Path, quantize: bool) -> Result<(), CoreError> {
         let start = std::time::Instant::now();
         let sections = encode_sections(self, quantize)?;
@@ -546,6 +630,8 @@ fn validate_entries(entries: &[Entry], file_len: u64, header_end: u64) -> Result
         let enc_ok = match e.kind {
             KIND_META | KIND_VOCAB | KIND_INDEX => e.encoding == ENC_JSON,
             KIND_COLLECTIVE | KIND_CENTROIDS => e.encoding == ENC_F32,
+            KIND_BACKBONE => e.encoding == ENC_EDGES,
+            KIND_TOPK => e.encoding == ENC_TOPK,
             _ => e.encoding == ENC_F32 || e.encoding == ENC_QI8,
         };
         if !enc_ok {
@@ -584,6 +670,20 @@ fn validate_entries(entries: &[Entry], file_len: u64, header_end: u64) -> Result
                 "required section {} missing",
                 kind_name(required)
             )));
+        }
+    }
+    let has = |kind: u32| kinds.contains(&kind);
+    match (has(KIND_X_TOTAL), has(KIND_BACKBONE), has(KIND_TOPK)) {
+        (true, false, false) | (false, true, true) => {}
+        (true, _, _) => {
+            return Err(CoreError::Schema(
+                "x_total and a backbone/topk section both present".to_string(),
+            ))
+        }
+        (false, _, _) => {
+            return Err(CoreError::Schema(
+                "required section x_total, or backbone and topk, missing".to_string(),
+            ))
         }
     }
     let mut ranges: Vec<(u64, u64)> = entries.iter().map(|e| (e.offset, e.len)).collect();
@@ -740,8 +840,8 @@ fn decode_matrix(what: &'static str, encoding: u32, payload: &[u8]) -> Result<Ma
     }
 }
 
-/// Decode a matrix section into the `Vec<Vec<f32>>` shape used by
-/// x_total and the centroids.
+/// Decode a matrix section into the `Vec<Vec<f32>>` shape used by the
+/// centroids and a legacy x_total.
 fn decode_rows(
     what: &'static str,
     encoding: u32,
@@ -749,6 +849,85 @@ fn decode_rows(
 ) -> Result<Vec<Vec<f32>>, CoreError> {
     let m = decode_matrix(what, encoding, payload)?;
     Ok(m.iter_rows().map(<[f32]>::to_vec).collect())
+}
+
+/// One little-endian `f32`.
+fn read_f32(r: &mut ByteReader<'_>) -> Result<f32, CoreError> {
+    Ok(f32::from_bits(r.u32()?))
+}
+
+/// A persisted `u32` id as a node index.
+fn read_id(r: &mut ByteReader<'_>) -> Result<usize, CoreError> {
+    Ok(r.u32()? as usize) // u32 widens losslessly into usize.
+}
+
+/// Decode the `backbone` and `topk` payloads of a schema-3 file into the
+/// cut over `n` authors. The edge count is checked against its
+/// `(n−1) + n·k` bound and the payload's exact size before any edge is
+/// allocated; [`CachedCut::from_parts`] checks the rest.
+fn decode_cut(
+    backbone: &[u8],
+    topk: &[u8],
+    n: usize,
+    min_sim: f32,
+    top_k: usize,
+) -> Result<CachedCut, CoreError> {
+    let mut r = ByteReader::new(backbone, "backbone");
+    let count = r.len_u64()?;
+    let max_edges = max_backbone_edges(n, top_k);
+    if count > max_edges {
+        return Err(CoreError::Schema(format!(
+            "backbone section: {count} edges, more than (n-1)+n*k = {max_edges}"
+        )));
+    }
+    let need = count
+        .checked_mul(EDGE_LEN)
+        .ok_or_else(|| CoreError::Schema(format!("backbone section: {count} edges overflow")))?;
+    if r.remaining() != need {
+        return Err(CoreError::Parse(format!(
+            "backbone section: {count} edges need {need} bytes, has {}",
+            r.remaining()
+        )));
+    }
+    let mut edges = Vec::with_capacity(count);
+    for _ in 0..count {
+        let u = read_id(&mut r)?;
+        let v = read_id(&mut r)?;
+        let w = read_f32(&mut r)?;
+        edges.push(Edge { u, v, w });
+    }
+
+    let mut r = ByteReader::new(topk, "topk");
+    let (stored_n, stored_k) = (r.len_u64()?, r.len_u64()?);
+    if stored_n != n || stored_k != top_k {
+        return Err(CoreError::Schema(format!(
+            "topk section: {stored_n} authors and k = {stored_k}, the model has {n} and k = {top_k}"
+        )));
+    }
+    let mut prefixes = Vec::with_capacity(n);
+    for node in 0..n {
+        let len = r.u32()? as usize; // u32 widens losslessly into usize.
+        if len > top_k {
+            return Err(CoreError::Schema(format!(
+                "topk section: prefix of node {node} has {len} entries, longer than top_k = {top_k}"
+            )));
+        }
+        // Sized by the bytes actually left, never by the stored length.
+        let fits = len.min(r.remaining() / 8);
+        let (mut ids, mut sims) = (Vec::with_capacity(fits), Vec::with_capacity(fits));
+        for _ in 0..len {
+            ids.push(read_id(&mut r)?);
+            sims.push(read_f32(&mut r)?);
+        }
+        prefixes.push((ids, sims));
+    }
+    if r.remaining() != 0 {
+        return Err(CoreError::Parse(format!(
+            "topk section: {} trailing bytes",
+            r.remaining()
+        )));
+    }
+    CachedCut::from_parts(n, min_sim, top_k, edges, prefixes)
 }
 
 fn from_json<T: for<'de> Deserialize<'de>>(
@@ -794,6 +973,8 @@ pub fn load(path: &Path) -> Result<PipelineSnapshot, CoreError> {
     let mut author_content = None;
     let mut author_concept = None;
     let mut x_total = None;
+    let mut backbone = None;
+    let mut topk = None;
     for e in &entries {
         let payload = read_section(&mut file, e)?;
         match e.kind {
@@ -810,6 +991,9 @@ pub fn load(path: &Path) -> Result<PipelineSnapshot, CoreError> {
                 author_concept = Some(decode_matrix("author_concept", e.encoding, &payload)?)
             }
             KIND_X_TOTAL => x_total = Some(decode_rows("x_total", e.encoding, &payload)?),
+            // Decoded once the metadata and author count are known.
+            KIND_BACKBONE => backbone = Some(payload),
+            KIND_TOPK => topk = Some(payload),
             // Checksummed by `read_section`; the IVF plan rebuilds it.
             KIND_INDEX => {}
             // validate_entries rejected unknown kinds already.
@@ -824,6 +1008,26 @@ pub fn load(path: &Path) -> Result<PipelineSnapshot, CoreError> {
             meta.version
         )));
     }
+    let author_content =
+        author_content.ok_or(CoreError::Internal("author_content section missing"))?;
+    let n = author_content.rows();
+    let (min_sim, top_k) = (meta.graph_min_sim, meta.graph_top_k);
+    // The table holds x_total or backbone + topk, never both
+    // (`validate_entries`); the schema must name the one it holds.
+    let cut = match (x_total, backbone, topk) {
+        (Some(x), None, None) if meta.version <= DENSE_VERSION_MAX => {
+            cut_from_dense(&x, n, min_sim, top_k)?
+        }
+        (None, Some(b), Some(t)) if meta.version > DENSE_VERSION_MAX => {
+            decode_cut(&b, &t, n, min_sim, top_k)?
+        }
+        _ => {
+            return Err(CoreError::Schema(format!(
+                "schema {} does not match the file's cut sections (x_total up to schema {DENSE_VERSION_MAX}, backbone and topk after)",
+                meta.version
+            )))
+        }
+    };
     let mut snapshot = PipelineSnapshot {
         version: meta.version,
         vocab: vocab.ok_or(CoreError::Internal("vocab section missing"))?,
@@ -832,14 +1036,13 @@ pub fn load(path: &Path) -> Result<PipelineSnapshot, CoreError> {
             collective.ok_or(CoreError::Internal("collective section missing"))?,
         ),
         centroids: centroids.ok_or(CoreError::Internal("centroids section missing"))?,
-        author_content: author_content
-            .ok_or(CoreError::Internal("author_content section missing"))?,
+        author_content,
         author_concept: author_concept
             .ok_or(CoreError::Internal("author_concept section missing"))?,
         concept_means: meta.concept_means,
         concept_stats: meta.concept_stats,
         content_stats: meta.content_stats,
-        x_total: x_total.ok_or(CoreError::Internal("x_total section missing"))?,
+        cut: Arc::new(cut),
         alpha: meta.alpha,
         tweet_combiner: meta.tweet_combiner,
         graph_min_sim: meta.graph_min_sim,
@@ -921,9 +1124,10 @@ mod tests {
             loaded.collective.matrix().as_slice(),
             snap.collective.matrix().as_slice()
         );
-        assert_eq!(loaded.x_total, snap.x_total);
+        assert_eq!(loaded.cut.base_edges(), snap.cut.base_edges());
         assert_eq!(loaded.centroids, snap.centroids);
-        // Served answers are therefore identical.
+        // Served answers are therefore identical, and equal the dense
+        // oracle's over the fitted matrix.
         let tweets: Vec<(Timestamp, String)> = d
             .tweets
             .iter()
@@ -931,8 +1135,13 @@ mod tests {
             .take(5)
             .map(|t| (t.timestamp, t.text.clone()))
             .collect();
-        let want = crate::online::link_query(&snap.query_model(), &tweets).unwrap();
-        let got = crate::online::link_query(&loaded.query_model(), &tweets).unwrap();
+        let want = crate::online::link_query(&p.query_model(), &p.x_total, &tweets).unwrap();
+        let got = loaded
+            .query_engine(crate::EngineMode::Exact)
+            .unwrap()
+            .link_query_authors(&[tweets])
+            .unwrap()
+            .remove(0);
         assert_eq!(want.similarities, got.similarities);
         assert_eq!(want.subgraph, got.subgraph);
     }
@@ -1023,15 +1232,24 @@ mod tests {
         snap.save_binary(&path, true).unwrap();
         let info = inspect(&path).unwrap();
         assert_eq!(info.container_version, BINARY_VERSION);
-        assert_eq!(info.sections.len(), 7);
+        assert_eq!(info.sections.len(), 8);
         let names: Vec<&str> = info.sections.iter().map(|s| s.name).collect();
-        assert!(names.contains(&"x_total"));
+        assert!(!names.contains(&"x_total"), "{names:?}");
         assert!(names.contains(&"vocab"));
-        let x = info.sections.iter().find(|s| s.name == "x_total").unwrap();
-        assert_eq!(x.encoding, "qi8");
+        let encoding = |name: &str| {
+            info.sections
+                .iter()
+                .find(|s| s.name == name)
+                .unwrap()
+                .encoding
+        };
+        // --quantize reaches the author matrices, never the cut.
+        assert_eq!(encoding("author_content"), "qi8");
+        assert_eq!(encoding("backbone"), "edges");
+        assert_eq!(encoding("topk"), "topk");
         // Truncate the file to header-only: inspect still works (it reads
         // no payloads), load fails.
-        let header_len = PRELUDE_LEN + 7 * ENTRY_LEN + 4;
+        let header_len = PRELUDE_LEN + 8 * ENTRY_LEN + 4;
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..header_len]).unwrap();
         assert!(inspect(&path).is_err(), "table now points past EOF");

@@ -5,14 +5,18 @@
 //! in the offline phase") implies the offline artifacts outlive a process.
 //! [`PipelineSnapshot`] captures exactly the state the online phase needs —
 //! vocabulary, collective embedding, concept centroids, author vectors and
-//! the fused similarity matrix — and writes it as one v3 binary container
-//! ([`PipelineSnapshot::save_binary`]). The v1/v2 JSON files of earlier
-//! releases are only read ([`PipelineSnapshot::load`]) and migrated by
-//! re-saving. A loaded snapshot's [`PipelineSnapshot::query_engine`]
-//! answers identically to the pipeline it came from.
+//! the cached graph cut over the fused similarity matrix (its backbone and
+//! top-k prefixes, `O(n + n·k)` instead of the `n²` matrix) — and writes
+//! it as one v3 binary container ([`PipelineSnapshot::save_binary`]). The
+//! v1/v2 JSON files and schema-2 containers of earlier releases, which
+//! persisted the dense matrix, are only read ([`PipelineSnapshot::load`]
+//! builds their cut and drops the matrix) and migrated by re-saving. A
+//! loaded snapshot's [`PipelineSnapshot::query_engine`] answers
+//! identically to the pipeline it came from.
 
 pub mod binary;
 
+use crate::engine::CachedCut;
 use crate::error::CoreError;
 use crate::online::QueryModel;
 use crate::pipeline::Pipeline;
@@ -24,6 +28,7 @@ use soulmate_text::{TokenizerConfig, Vocabulary};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
+use std::sync::Arc;
 
 /// Serializable `Combiner` mirror (the tweet combiner is the only enum
 /// configuration the online phase needs).
@@ -53,11 +58,14 @@ impl From<CombinerTag> for Combiner {
     }
 }
 
-/// The persisted offline model. `Deserialize` reads the v1/v2 JSON files
-/// of earlier releases; the only writer is [`PipelineSnapshot::save_binary`].
-#[derive(Debug, Clone, Deserialize)]
+/// The persisted offline model. The only writer is
+/// [`PipelineSnapshot::save_binary`]; [`PipelineSnapshot::load`] also
+/// reads the files of earlier releases.
+#[derive(Debug, Clone)]
 pub struct PipelineSnapshot {
-    /// Format version for forward compatibility.
+    /// Logical schema the snapshot was read as (1–2 for files that
+    /// persisted the dense `x_total`); the writer always emits
+    /// [`SNAPSHOT_VERSION`].
     pub version: u32,
     /// Offline vocabulary.
     pub vocab: Vocabulary,
@@ -72,16 +80,16 @@ pub struct PipelineSnapshot {
     /// Author concept vectors.
     pub author_concept: Matrix,
     /// Population means of the concept profiles (online centering).
-    #[serde(default)]
     pub concept_means: Vec<f32>,
     /// Off-diagonal (mean, std) of `X^Concept` (fusion standardization).
-    #[serde(default = "default_stats")]
     pub concept_stats: (f32, f32),
     /// Off-diagonal (mean, std) of `X^Content` (fusion standardization).
-    #[serde(default = "default_stats")]
     pub content_stats: (f32, f32),
-    /// Fused author similarity matrix.
-    pub x_total: Vec<Vec<f32>>,
+    /// The cached graph cut over the fused author similarity matrix
+    /// `X^Total-α`: its backbone and each author's top-k prefix. Every
+    /// engine built from the snapshot shares it, so a serving generation
+    /// holds one copy and no `n²` state.
+    pub cut: Arc<CachedCut>,
     /// Concept impact ratio α.
     pub alpha: f32,
     /// Word→tweet combiner.
@@ -97,19 +105,77 @@ pub struct PipelineSnapshot {
     /// process-global [`soulmate_obs`] registry, sorted by name. Absent
     /// in pre-observability snapshots (defaults to empty) — purely
     /// informational, never validated.
-    #[serde(default)]
     pub fit_metrics: Vec<(String, f64)>,
 }
 
+/// A v1/v2 JSON snapshot as earlier releases wrote it: the fields of
+/// [`PipelineSnapshot`] with the dense `x_total` where the cut is now.
+#[derive(Deserialize)]
+struct JsonSnapshot {
+    version: u32,
+    vocab: Vocabulary,
+    tokenizer: TokenizerConfig,
+    collective: Embedding,
+    centroids: Vec<Vec<f32>>,
+    author_content: Matrix,
+    author_concept: Matrix,
+    #[serde(default)]
+    concept_means: Vec<f32>,
+    #[serde(default = "default_stats")]
+    concept_stats: (f32, f32),
+    #[serde(default = "default_stats")]
+    content_stats: (f32, f32),
+    x_total: Vec<Vec<f32>>,
+    alpha: f32,
+    tweet_combiner: CombinerTag,
+    graph_min_sim: f32,
+    graph_top_k: usize,
+    author_handles: Vec<String>,
+    #[serde(default)]
+    fit_metrics: Vec<(String, f64)>,
+}
+
 /// Current logical snapshot schema version, stored in the v3 container's
-/// metadata section. v2 JSON files could also carry a persisted IVF
-/// index; that key is ignored on load (the IVF plan builds its index
-/// from the snapshot's own matrices), so v1 and v2 files load and serve
-/// identically.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// metadata section. Schema 3 persists the cached cut (`backbone` and
+/// `topk` sections) instead of the dense `x_total`.
+pub const SNAPSHOT_VERSION: u32 = 3;
+
+/// Newest schema that persisted the dense `x_total`: every JSON file
+/// (v2 files could also carry a persisted IVF index, ignored on load —
+/// the IVF plan builds its index from the snapshot's own matrices) and
+/// the containers written before schema 3.
+pub const DENSE_VERSION_MAX: u32 = 2;
 
 /// Oldest snapshot format [`PipelineSnapshot::load`] still accepts.
 pub const SNAPSHOT_VERSION_MIN: u32 = 1;
+
+/// The cut of a schema 1–2 file, which persisted the dense `X^Total-α`
+/// that no generation keeps: check the matrix as those releases did
+/// (`n × n` over the `n` authors, every entry finite), then build the
+/// cut from it. The caller drops the matrix.
+///
+/// # Errors
+/// [`CoreError::Schema`] naming the first shape or finiteness violation.
+pub(crate) fn cut_from_dense(
+    x_total: &[Vec<f32>],
+    n: usize,
+    min_sim: f32,
+    top_k: usize,
+) -> Result<CachedCut, CoreError> {
+    if x_total.len() != n || x_total.iter().any(|r| r.len() != n) {
+        return Err(CoreError::Schema("x_total is not n x n".into()));
+    }
+    if let Some((i, j)) = x_total
+        .iter()
+        .enumerate()
+        .find_map(|(i, row)| row.iter().position(|v| !v.is_finite()).map(|j| (i, j)))
+    {
+        return Err(CoreError::Schema(format!(
+            "x_total[{i}][{j}] is not finite"
+        )));
+    }
+    CachedCut::new(x_total, min_sim, top_k)
+}
 
 /// Serde default for missing standardization stats (identity transform).
 fn default_stats() -> (f32, f32) {
@@ -190,11 +256,18 @@ fn peek_json_version(prefix: &[u8]) -> Option<u64> {
 }
 
 impl Pipeline {
-    /// Capture the online-serving state of this fitted pipeline.
+    /// Capture the online-serving state of this fitted pipeline, building
+    /// the cached cut from `x_total` (`O(n²)`, once).
     ///
     /// `author_handles` labels the rows (pass the dataset's handles, or an
     /// empty slice to auto-number).
     pub fn snapshot(&self, author_handles: &[String]) -> PipelineSnapshot {
+        let (min_sim, top_k) = (self.config.graph_min_sim, self.config.graph_top_k);
+        // `fit` always produces a square matrix. If the public field was
+        // made ragged, the snapshot gets a cut over no authors, which
+        // `validate` (and so every load) rejects.
+        let cut = CachedCut::new(&self.x_total, min_sim, top_k)
+            .unwrap_or_else(|_| CachedCut::empty(min_sim, top_k));
         let handles = if author_handles.len() == self.n_authors() {
             author_handles.to_vec()
         } else {
@@ -213,11 +286,11 @@ impl Pipeline {
             concept_means: self.concept_means.clone(),
             concept_stats: self.concept_stats,
             content_stats: self.content_stats,
-            x_total: self.x_total.clone(),
+            cut: Arc::new(cut),
             alpha: self.config.alpha,
             tweet_combiner: self.config.tweet_combiner.into(),
-            graph_min_sim: self.config.graph_min_sim,
-            graph_top_k: self.config.graph_top_k,
+            graph_min_sim: min_sim,
+            graph_top_k: top_k,
             author_handles: handles,
             fit_metrics: stage_seconds_summary(),
         }
@@ -247,6 +320,9 @@ impl PipelineSnapshot {
     /// an earlier release. The format is detected from the file's first
     /// bytes, so every caller (CLI `serve`/`link`, the server's startup
     /// load) transparently accepts both; re-saving migrates a JSON file.
+    /// Files that persisted the dense `x_total` (every JSON file, and
+    /// schema-2 containers) get their cut built at load, and the matrix
+    /// is dropped.
     ///
     /// Fail-fast contract: the version gate runs **before** the full
     /// parse in both formats. Binary files are gated on their 16-byte
@@ -287,12 +363,12 @@ impl PipelineSnapshot {
             return binary::load(path);
         }
         if let Some(claimed) = peek_json_version(prefix) {
-            let supported = u64::from(SNAPSHOT_VERSION_MIN)..=u64::from(SNAPSHOT_VERSION);
+            let supported = u64::from(SNAPSHOT_VERSION_MIN)..=u64::from(DENSE_VERSION_MAX);
             if !supported.contains(&claimed) {
                 // Rejected from the first bytes: the rest of the file —
                 // possibly gigabytes — is never parsed or allocated.
                 return Err(CoreError::Schema(format!(
-                    "unsupported snapshot version {claimed} (expected {SNAPSHOT_VERSION_MIN}..={SNAPSHOT_VERSION})"
+                    "unsupported snapshot version {claimed} (expected {SNAPSHOT_VERSION_MIN}..={DENSE_VERSION_MAX})"
                 )));
             }
         }
@@ -300,14 +376,39 @@ impl PipelineSnapshot {
             context: format!("cannot rewind {}", path.display()),
             source: e,
         })?;
-        let mut snapshot: PipelineSnapshot = serde_json::from_reader(BufReader::new(file))
+        let json: JsonSnapshot = serde_json::from_reader(BufReader::new(file))
             .map_err(|e| CoreError::Parse(e.to_string()))?;
-        if !(SNAPSHOT_VERSION_MIN..=SNAPSHOT_VERSION).contains(&snapshot.version) {
+        if !(SNAPSHOT_VERSION_MIN..=DENSE_VERSION_MAX).contains(&json.version) {
             return Err(CoreError::Schema(format!(
-                "unsupported snapshot version {} (expected {SNAPSHOT_VERSION_MIN}..={SNAPSHOT_VERSION})",
-                snapshot.version
+                "unsupported snapshot version {} (expected {SNAPSHOT_VERSION_MIN}..={DENSE_VERSION_MAX})",
+                json.version
             )));
         }
+        let cut = cut_from_dense(
+            &json.x_total,
+            json.author_content.rows(),
+            json.graph_min_sim,
+            json.graph_top_k,
+        )?;
+        let mut snapshot = PipelineSnapshot {
+            version: json.version,
+            vocab: json.vocab,
+            tokenizer: json.tokenizer,
+            collective: json.collective,
+            centroids: json.centroids,
+            author_content: json.author_content,
+            author_concept: json.author_concept,
+            concept_means: json.concept_means,
+            concept_stats: json.concept_stats,
+            content_stats: json.content_stats,
+            cut: Arc::new(cut),
+            alpha: json.alpha,
+            tweet_combiner: json.tweet_combiner,
+            graph_min_sim: json.graph_min_sim,
+            graph_top_k: json.graph_top_k,
+            author_handles: json.author_handles,
+            fit_metrics: json.fit_metrics,
+        };
         snapshot.validate()?;
         // The vocabulary's string→id index is skipped by serde.
         snapshot.vocab.rebuild_index();
@@ -331,8 +432,22 @@ impl PipelineSnapshot {
         if self.author_concept.rows() != n {
             return schema("author concept/content row counts differ".into());
         }
-        if self.x_total.len() != n || self.x_total.iter().any(|r| r.len() != n) {
-            return schema("x_total is not n x n".into());
+        if self.cut.n_authors() != n {
+            return schema(format!(
+                "cut covers {} authors, the model has {n}",
+                self.cut.n_authors()
+            ));
+        }
+        if self.cut.top_k() != self.graph_top_k
+            || self.cut.min_similarity().to_bits() != self.graph_min_sim.to_bits()
+        {
+            return schema(format!(
+                "cut built with min_sim {} and top_k {}, the model says {} and {}",
+                self.cut.min_similarity(),
+                self.cut.top_k(),
+                self.graph_min_sim,
+                self.graph_top_k
+            ));
         }
         if self.author_handles.len() != n {
             return schema("author handle count mismatch".into());
@@ -398,14 +513,6 @@ impl PipelineSnapshot {
         if self.concept_means.iter().any(|v| !v.is_finite()) {
             return schema("concept_means contains a non-finite entry".into());
         }
-        if let Some((i, j)) = self
-            .x_total
-            .iter()
-            .enumerate()
-            .find_map(|(i, row)| row.iter().position(|v| !v.is_finite()).map(|j| (i, j)))
-        {
-            return schema(format!("x_total[{i}][{j}] is not finite"));
-        }
         Ok(())
     }
 
@@ -421,7 +528,6 @@ impl PipelineSnapshot {
             concept_means: &self.concept_means,
             concept_stats: self.concept_stats,
             content_stats: self.content_stats,
-            x_total: &self.x_total,
             alpha: self.alpha,
             tweet_combiner: self.tweet_combiner.into(),
             graph_min_sim: self.graph_min_sim,
@@ -477,7 +583,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
         assert_eq!(loaded.n_authors(), p.n_authors());
         assert_eq!(loaded.author_handles, handles);
-        assert_eq!(loaded.x_total, p.x_total);
+        assert_eq!(loaded.cut.base_edges(), snap.cut.base_edges());
         assert_eq!(
             loaded.collective.matrix().as_slice(),
             p.collective.matrix().as_slice()
@@ -500,8 +606,13 @@ mod tests {
             .take(6)
             .map(|t| (t.timestamp, t.text.clone()))
             .collect();
-        let from_pipeline = link_query(&p.query_model(), &tweets).unwrap();
-        let from_snapshot = link_query(&loaded.query_model(), &tweets).unwrap();
+        let from_pipeline = link_query(&p.query_model(), &p.x_total, &tweets).unwrap();
+        let from_snapshot = loaded
+            .query_engine(crate::EngineMode::Exact)
+            .unwrap()
+            .link_query_authors(&[tweets])
+            .unwrap()
+            .remove(0);
         assert_eq!(from_pipeline.subgraph, from_snapshot.subgraph);
         assert_eq!(from_pipeline.similarities, from_snapshot.similarities);
     }

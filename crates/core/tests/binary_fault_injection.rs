@@ -8,7 +8,11 @@
 //! panic and never an allocation larger than the file itself. The harness
 //! forges corrupted containers by editing the section table and
 //! re-sealing the header checksum, exactly as an attacker with a hex
-//! editor would.
+//! editor would. The schema-3 cut sections (`backbone`, `topk`) are
+//! forged inside well-formed containers: their payloads are rewritten and
+//! every checksum resealed, so only the decoder's own checks stand.
+
+mod common;
 
 use soulmate_core::error::CoreError;
 use soulmate_core::online::link_query;
@@ -25,9 +29,20 @@ const PRELUDE_LEN: usize = 16;
 /// len u64, crc u32.
 const ENTRY_LEN: usize = 28;
 
+/// Section kinds of the schema-3 cut.
+const KIND_BACKBONE: u32 = 9;
+const KIND_TOPK: u32 = 10;
+
+/// Authors in the fitted model.
+const N: usize = 14;
+
 fn fitted() -> (soulmate_corpus::Dataset, Pipeline) {
+    fitted_with(PipelineConfig::fast())
+}
+
+fn fitted_with(config: PipelineConfig) -> (soulmate_corpus::Dataset, Pipeline) {
     let d = generate(&GeneratorConfig {
-        n_authors: 14,
+        n_authors: N,
         n_communities: 3,
         n_concepts: 5,
         entities_per_concept: 8,
@@ -35,7 +50,7 @@ fn fitted() -> (soulmate_corpus::Dataset, Pipeline) {
         ..GeneratorConfig::small()
     })
     .unwrap();
-    let p = Pipeline::fit(&d, PipelineConfig::fast()).unwrap();
+    let p = Pipeline::fit(&d, config).unwrap();
     (d, p)
 }
 
@@ -76,7 +91,22 @@ struct TableEntry {
 
 impl Container {
     fn build(quantize: bool) -> Container {
-        let (_, p) = fitted();
+        Container::from_fit(fitted().1, quantize)
+    }
+
+    /// A container whose graph is its `top_k` lifelines alone (no fused
+    /// similarity clears the threshold), so the backbone holds more than
+    /// a spanning tree and every prefix is non-empty.
+    fn build_top_k(top_k: usize) -> Container {
+        let config = PipelineConfig {
+            graph_top_k: top_k,
+            graph_min_sim: 10.0,
+            ..PipelineConfig::fast()
+        };
+        Container::from_fit(fitted_with(config).1, false)
+    }
+
+    fn from_fit(p: Pipeline, quantize: bool) -> Container {
         let snap = p.snapshot(&[]);
         let path = tmp(if quantize { "build-q.bin" } else { "build.bin" });
         snap.save_binary(&path, quantize).unwrap();
@@ -138,6 +168,25 @@ impl Container {
         let hl = self.header_len();
         let crc = crc32(&self.bytes[..hl - 4]);
         self.bytes[hl - 4..hl].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    /// The payload of the section of `kind`.
+    fn payload(&self, kind: u32) -> Vec<u8> {
+        common::split(&self.bytes)
+            .into_iter()
+            .find(|(k, _, _)| *k == kind)
+            .unwrap()
+            .2
+    }
+
+    /// The same container with the section of `kind` carrying `payload`,
+    /// laid out and checksummed afresh.
+    fn with_payload(&self, kind: u32, payload: Vec<u8>) -> Container {
+        let mut sections = common::split(&self.bytes);
+        sections.iter_mut().find(|(k, _, _)| *k == kind).unwrap().2 = payload;
+        Container {
+            bytes: common::seal(&sections),
+        }
     }
 
     /// Write the (possibly corrupted) bytes and load them through the
@@ -429,6 +478,296 @@ fn shrunken_matrix_payloads_fail_the_exact_size_check() {
 }
 
 // ---------------------------------------------------------------------
+// Schema-3 cut sections: forged payloads inside sealed containers.
+// ---------------------------------------------------------------------
+
+/// A persisted backbone edge: `(u, v, w)`.
+type RawEdge = (u32, u32, f32);
+
+fn edges_of(payload: &[u8]) -> Vec<RawEdge> {
+    payload[8..]
+        .chunks_exact(12)
+        .map(|c| {
+            (
+                u32::from_le_bytes(c[0..4].try_into().unwrap()),
+                u32::from_le_bytes(c[4..8].try_into().unwrap()),
+                f32::from_le_bytes(c[8..12].try_into().unwrap()),
+            )
+        })
+        .collect()
+}
+
+/// A backbone payload claiming `count` edges and holding `edges`.
+fn edges_payload(count: u64, edges: &[RawEdge]) -> Vec<u8> {
+    let mut out = count.to_le_bytes().to_vec();
+    for &(u, v, w) in edges {
+        out.extend_from_slice(&u.to_le_bytes());
+        out.extend_from_slice(&v.to_le_bytes());
+        out.extend_from_slice(&w.to_le_bytes());
+    }
+    out
+}
+
+/// Every author's persisted prefix: `(id, sim)` pairs, strongest first.
+type Prefixes = Vec<Vec<(u32, f32)>>;
+
+/// The per-author prefixes of a `topk` payload, and its stored `k`.
+fn prefixes_of(payload: &[u8]) -> (u64, Prefixes) {
+    let word = |at: usize| u32::from_le_bytes(payload[at..at + 4].try_into().unwrap());
+    let n = u64::from_le_bytes(payload[0..8].try_into().unwrap());
+    let k = u64::from_le_bytes(payload[8..16].try_into().unwrap());
+    let mut at = 16;
+    let mut prefixes = Vec::new();
+    for _ in 0..n {
+        let len = word(at) as usize;
+        at += 4;
+        let prefix = (0..len)
+            .map(|i| (word(at + 8 * i), f32::from_bits(word(at + 8 * i + 4))))
+            .collect();
+        at += 8 * len;
+        prefixes.push(prefix);
+    }
+    assert_eq!(at, payload.len(), "the whole payload parsed");
+    (k, prefixes)
+}
+
+fn topk_payload(k: u64, prefixes: &[Vec<(u32, f32)>]) -> Vec<u8> {
+    let mut out = (prefixes.len() as u64).to_le_bytes().to_vec();
+    out.extend_from_slice(&k.to_le_bytes());
+    for prefix in prefixes {
+        out.extend_from_slice(&(prefix.len() as u32).to_le_bytes());
+        for &(id, sim) in prefix {
+            out.extend_from_slice(&id.to_le_bytes());
+            out.extend_from_slice(&sim.to_le_bytes());
+        }
+    }
+    out
+}
+
+#[test]
+fn forged_backbones_are_typed_errors() {
+    const K: usize = 2;
+    let base = Container::build_top_k(K);
+    assert!(base.load("bb-ctl.bin").is_ok(), "the control loads");
+    let edges = edges_of(&base.payload(KIND_BACKBONE));
+    assert!(
+        edges.len() > N - 1,
+        "the top-k fit keeps lifelines beyond the spanning tree"
+    );
+    let bound = (N - 1) + N * K;
+    let n = N as u32;
+
+    let forge = |mutate: &dyn Fn(&mut Vec<RawEdge>)| -> Vec<u8> {
+        let mut e = edges.clone();
+        mutate(&mut e);
+        edges_payload(e.len() as u64, &e)
+    };
+    let weakest = edges.last().unwrap().2;
+    let cases: Vec<(&str, Vec<u8>)> = vec![
+        ("endpoint >= n", forge(&|e| e[0].1 = n)),
+        ("endpoint far out of range", forge(&|e| e[0].0 = u32::MAX)),
+        ("self-loop", forge(&|e| e[0].1 = e[0].0)),
+        (
+            "endpoints reversed",
+            forge(&|e| e[0] = (e[0].1, e[0].0, e[0].2)),
+        ),
+        ("out of pop order", forge(&|e| e.swap(0, 1))),
+        ("duplicated edge", forge(&|e| e.insert(1, e[0]))),
+        (
+            // The same pair again, weaker than every edge, keeps the pop
+            // order: only the pair check can catch it.
+            "duplicated pair, new weight",
+            forge(&|e| e.push((e[0].0, e[0].1, weakest - 1.0))),
+        ),
+        ("NaN weight", forge(&|e| e[0].2 = f32::NAN)),
+        ("+inf weight", forge(&|e| e[0].2 = f32::INFINITY)),
+        (
+            "-inf weight",
+            forge(&|e| e.last_mut().unwrap().2 = f32::NEG_INFINITY),
+        ),
+        (
+            "more than (n-1)+n*k edges",
+            forge(&|e| {
+                let extra = e[0];
+                e.resize(bound + 1, extra);
+            }),
+        ),
+        // A huge claimed count over a short payload is refused by the
+        // bound before anything is sized from it.
+        ("claimed count u64::MAX", edges_payload(u64::MAX, &edges)),
+        (
+            "claimed count past the payload",
+            edges_payload(edges.len() as u64 + 1, &edges),
+        ),
+        ("one byte short", {
+            let mut p = forge(&|_| {});
+            p.pop();
+            p
+        }),
+    ];
+    // Control: re-sealing the untouched payload loads.
+    let same = base.with_payload(KIND_BACKBONE, base.payload(KIND_BACKBONE));
+    assert!(same.load("bb-same.bin").is_ok());
+    for (label, payload) in cases {
+        let err = base
+            .with_payload(KIND_BACKBONE, payload)
+            .load("bb.bin")
+            .unwrap_err();
+        assert_class(&err, label);
+    }
+}
+
+/// Payload-size mismatches are corruption (`Parse`); everything else a
+/// forged cut section can get wrong is structure (`Schema`).
+fn assert_class(err: &CoreError, label: &str) {
+    let parse = label.contains("byte") || label.contains("past the payload");
+    assert!(
+        if parse {
+            matches!(err, CoreError::Parse(_))
+        } else {
+            matches!(err, CoreError::Schema(_))
+        },
+        "{label}: gave {err:?}"
+    );
+}
+
+#[test]
+fn forged_topk_prefixes_are_typed_errors() {
+    const K: usize = 2;
+    let base = Container::build_top_k(K);
+    let (k, prefixes) = prefixes_of(&base.payload(KIND_TOPK));
+    assert_eq!(k, K as u64);
+    assert!(prefixes.iter().all(|p| p.len() == K));
+    let n = N as u32;
+
+    let forge = |mutate: &dyn Fn(&mut Prefixes)| -> Vec<u8> {
+        let mut p = prefixes.clone();
+        mutate(&mut p);
+        topk_payload(k, &p)
+    };
+    let cases: Vec<(&str, Vec<u8>)> = vec![
+        (
+            "prefix longer than top_k",
+            forge(&|p| {
+                let weakest = p[0][K - 1].1;
+                p[0].push((13, weakest - 1.0));
+            }),
+        ),
+        (
+            "prefix shorter than top_k",
+            forge(&|p| {
+                p[3].pop();
+            }),
+        ),
+        ("prefix id >= n", forge(&|p| p[0][0].0 = n)),
+        (
+            "prefix id far out of range",
+            forge(&|p| p[5][1].0 = u32::MAX),
+        ),
+        ("prefix names its own node", forge(&|p| p[2][0].0 = 2)),
+        ("prefix repeats an id", forge(&|p| p[0][1].0 = p[0][0].0)),
+        ("prefix out of rank order", forge(&|p| p[0].swap(0, 1))),
+        ("NaN similarity", forge(&|p| p[1][0].1 = f32::NAN)),
+        ("+inf similarity", forge(&|p| p[1][0].1 = f32::INFINITY)),
+        (
+            "one author short",
+            forge(&|p| {
+                p.pop();
+            }),
+        ),
+        ("one author too many", forge(&|p| p.push(p[0].clone()))),
+        (
+            "k disagrees with the metadata",
+            topk_payload(k + 1, &prefixes),
+        ),
+        ("trailing byte", {
+            let mut t = forge(&|_| {});
+            t.push(0);
+            t
+        }),
+        ("one byte short", {
+            let mut t = forge(&|_| {});
+            t.pop();
+            t
+        }),
+    ];
+    let same = base.with_payload(KIND_TOPK, base.payload(KIND_TOPK));
+    assert!(same.load("topk-same.bin").is_ok());
+    for (label, payload) in cases {
+        let err = base
+            .with_payload(KIND_TOPK, payload)
+            .load("topk.bin")
+            .unwrap_err();
+        assert_class(&err, label);
+    }
+}
+
+#[test]
+fn hostile_top_k_never_sizes_an_allocation() {
+    // A metadata top_k of u64::MAX lifts the (n-1)+n*k edge bound and
+    // the prefix-length bound to nothing; the decoder must still size
+    // every buffer from the bytes actually present.
+    let base = Container::build(false);
+    let meta = String::from_utf8(base.payload(1)).unwrap();
+    assert!(meta.contains("\"graph_top_k\":0"), "{meta}");
+    let hostile = meta.replace(
+        "\"graph_top_k\":0",
+        &format!("\"graph_top_k\":{}", u64::MAX),
+    );
+    let huge = base.with_payload(1, hostile.into_bytes());
+    // Control: the metadata parses, and the k = 0 prefixes no longer fit.
+    let err = huge.load("huge-k.bin").unwrap_err();
+    assert!(
+        matches!(&err, CoreError::Schema(m) if m.contains("top")),
+        "{err:?}"
+    );
+    // An edge count whose byte size overflows.
+    let err = huge
+        .with_payload(KIND_BACKBONE, edges_payload(u64::MAX, &[]))
+        .load("huge-count.bin")
+        .unwrap_err();
+    assert_typed(&err, "edge count u64::MAX under k = u64::MAX");
+    // A prefix claiming u32::MAX entries over an empty tail.
+    let mut topk = (N as u64).to_le_bytes().to_vec();
+    topk.extend_from_slice(&u64::MAX.to_le_bytes());
+    topk.extend_from_slice(&u32::MAX.to_le_bytes());
+    let err = huge
+        .with_payload(KIND_TOPK, topk)
+        .load("huge-prefix.bin")
+        .unwrap_err();
+    assert!(matches!(err, CoreError::Parse(_)), "{err:?}");
+}
+
+#[test]
+fn schema_and_cut_sections_must_agree() {
+    let base = Container::build(false);
+    // A schema-3 file relabelled as schema 2 claims a dense x_total it
+    // does not carry.
+    let meta = String::from_utf8(base.payload(1)).unwrap();
+    assert!(meta.contains("\"version\":3"), "{meta}");
+    let relabelled = base.with_payload(
+        1,
+        meta.replace("\"version\":3", "\"version\":2").into_bytes(),
+    );
+    let err = relabelled.load("schema.bin").unwrap_err();
+    assert!(
+        matches!(&err, CoreError::Schema(m) if m.contains("schema 2")),
+        "{err:?}"
+    );
+    // Dropping the topk section leaves half a cut.
+    let mut sections = common::split(&base.bytes);
+    sections.retain(|(kind, _, _)| *kind != KIND_TOPK);
+    let half = Container {
+        bytes: common::seal(&sections),
+    };
+    let err = half.load("half.bin").unwrap_err();
+    assert!(
+        matches!(&err, CoreError::Schema(m) if m.contains("backbone and topk")),
+        "{err:?}"
+    );
+}
+
+// ---------------------------------------------------------------------
 // The control arm: valid containers pass through unchanged.
 // ---------------------------------------------------------------------
 
@@ -444,7 +783,7 @@ fn valid_binary_roundtrip_serves_bit_for_bit() {
     let engine = loaded.query_engine(EngineMode::Exact).unwrap();
     for author in [0u32, 5, 9] {
         let tweets = author_tweets(&d, author, 6);
-        let want = link_query(&p.query_model(), &tweets).unwrap();
+        let want = link_query(&p.query_model(), &p.x_total, &tweets).unwrap();
         let got = engine.link_query_authors(&[tweets]).unwrap().remove(0);
         assert_eq!(want.similarities, got.similarities, "author {author}");
         assert_eq!(want.subgraph, got.subgraph, "author {author}");
@@ -468,7 +807,7 @@ fn valid_quantized_container_loads_and_serves() {
         .link_query_authors(&[author_tweets(&d, 3, 6)])
         .unwrap()
         .remove(0);
-    assert_eq!(outcome.similarities.len(), 14);
+    assert_eq!(outcome.similarities.len(), N);
     assert!(outcome.similarities.iter().all(|s| s.is_finite()));
     assert!(!outcome.subgraph.is_empty());
 }

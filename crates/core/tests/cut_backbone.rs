@@ -243,7 +243,7 @@ fn insert_chain_matches_rebuild_at_every_step() {
             let n = x.len();
             let sims: Vec<f32> = (0..n).map(|_| rng.weight()).collect();
             x = extend(&x, &sims);
-            cut.insert_author(&x, &sims).unwrap();
+            cut.insert_author(&sims).unwrap();
 
             let ctx = format!("min_sim={min_sim} k={top_k} step={step}");
             let rebuilt = CachedCut::new(&x, min_sim, top_k).unwrap();

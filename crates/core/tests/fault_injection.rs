@@ -6,6 +6,10 @@
 //! unknown words — must surface as a typed [`CoreError`], never a panic.
 //! And the harness itself must be inert: a valid snapshot passed through
 //! it still serves bit-for-bit identically to the pipeline it came from.
+//! Corruptions of the dense `x_total` go through the legacy read paths
+//! (v2 JSON, schema-2 container), the only files that still carry one.
+
+mod common;
 
 use soulmate_core::engine::CachedCut;
 use soulmate_core::error::CoreError;
@@ -36,11 +40,76 @@ fn tmp(name: &str) -> PathBuf {
     p
 }
 
+fn fixture(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name)
+}
+
 /// Text of the committed legacy v2 JSON snapshot: the JSON-read fault
 /// cases corrupt real bytes an earlier release wrote.
 fn v2_fixture_text() -> String {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v2_index.json");
-    std::fs::read_to_string(path).unwrap()
+    std::fs::read_to_string(fixture("v2_index.json")).unwrap()
+}
+
+/// A fresh number per call, so parallel tests write distinct files.
+fn next_file() -> usize {
+    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+}
+
+/// Section kind of the dense matrix in schema 1–2 containers.
+const KIND_X_TOTAL: u32 = 7;
+
+/// Load the committed v2 JSON fixture after `edit` changed the rows of
+/// its dense `x_total` — the legacy JSON read path — returning the error.
+fn json_x_total_error(edit: impl FnOnce(&mut Vec<serde_json::Value>)) -> CoreError {
+    let mut doc: serde_json::Value = serde_json::from_str(&v2_fixture_text()).unwrap();
+    let rows = doc
+        .get_mut("x_total")
+        .and_then(serde_json::Value::as_array_mut)
+        .unwrap();
+    edit(rows);
+    let path = tmp(&format!("legacy-x-{}.json", next_file()));
+    std::fs::write(&path, serde_json::to_string(&doc).unwrap()).unwrap();
+    let err = PipelineSnapshot::load(&path).unwrap_err();
+    std::fs::remove_file(&path).ok();
+    err
+}
+
+/// Load the committed schema-2 container after `edit` changed its dense
+/// `x_total` section (re-encoded as an f32 matrix, checksums resealed) —
+/// the legacy binary read path — returning the error.
+fn binary_x_total_error(edit: impl FnOnce(&mut Vec<Vec<f32>>)) -> CoreError {
+    let bytes = std::fs::read(fixture("v3_f32_index.bin")).unwrap();
+    let mut sections = common::split(&bytes);
+    let (_, _, payload) = sections
+        .iter_mut()
+        .find(|(kind, _, _)| *kind == KIND_X_TOTAL)
+        .unwrap();
+    let cols = u64::from_le_bytes(payload[8..16].try_into().unwrap()) as usize;
+    let values: Vec<f32> = payload[16..]
+        .chunks_exact(4)
+        .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
+        .collect();
+    let mut rows: Vec<Vec<f32>> = values.chunks(cols).map(<[f32]>::to_vec).collect();
+    edit(&mut rows);
+    assert!(
+        rows.iter().all(|r| r.len() == cols),
+        "a matrix section is rectangular"
+    );
+    let mut encoded = Vec::new();
+    encoded.extend_from_slice(&(rows.len() as u64).to_le_bytes());
+    encoded.extend_from_slice(&(cols as u64).to_le_bytes());
+    for v in rows.iter().flatten() {
+        encoded.extend_from_slice(&v.to_le_bytes());
+    }
+    *payload = encoded;
+    let path = tmp(&format!("legacy-x-{}.bin", next_file()));
+    std::fs::write(&path, common::seal(&sections)).unwrap();
+    let err = PipelineSnapshot::load(&path).unwrap_err();
+    std::fs::remove_file(&path).ok();
+    err
 }
 
 fn author_tweets(
@@ -118,7 +187,19 @@ fn load_error_of(mutate: impl FnOnce(&mut PipelineSnapshot)) -> CoreError {
 
 #[test]
 fn unsupported_version_is_schema_error() {
-    let err = load_error_of(|s| s.version = 99);
+    // The writer always stamps the current schema, so the bad version is
+    // forged into the metadata section of a written container.
+    let (_, p) = fitted();
+    let path = tmp("version-meta.bin");
+    p.snapshot(&[]).save_binary(&path, false).unwrap();
+    let mut sections = common::split(&std::fs::read(&path).unwrap());
+    let meta = &mut sections[0].2;
+    let text = String::from_utf8(meta.clone()).unwrap();
+    assert!(text.contains("\"version\":3"), "{text}");
+    *meta = text.replace("\"version\":3", "\"version\":99").into_bytes();
+    std::fs::write(&path, common::seal(&sections)).unwrap();
+    let err = PipelineSnapshot::load(&path).unwrap_err();
+    std::fs::remove_file(&path).ok();
     assert!(matches!(err, CoreError::Schema(_)), "{err:?}");
     assert!(err.to_string().contains("version"), "{err}");
 }
@@ -163,12 +244,6 @@ fn shape_corruptions_are_schema_errors() {
             }),
         ),
         (
-            "x_total row popped",
-            Box::new(|s: &mut PipelineSnapshot| {
-                s.x_total.pop();
-            }),
-        ),
-        (
             "centroid popped",
             Box::new(|s: &mut PipelineSnapshot| {
                 s.centroids.pop();
@@ -207,24 +282,78 @@ fn shape_corruptions_are_schema_errors() {
         );
     }
     // Ragged rows cannot be encoded as a dense matrix section at all, so
-    // these go straight to the gate `load` runs.
+    // this goes straight to the gate `load` runs.
     let (_, p) = fitted();
-    let mut ragged_x = p.snapshot(&[]);
-    if let Some(row) = ragged_x.x_total.first_mut() {
-        row.pop();
-    }
     let mut ragged_centroid = p.snapshot(&[]);
     if let Some(c) = ragged_centroid.centroids.first_mut() {
         c.push(0.0);
     }
-    for (label, snap) in [
-        ("x_total ragged", ragged_x),
-        ("centroid dim changed", ragged_centroid),
-    ] {
-        let err = snap.validate().unwrap_err();
+    let err = ragged_centroid.validate().unwrap_err();
+    assert!(
+        matches!(err, CoreError::Schema(_)),
+        "centroid dim changed: gave {err:?}, expected Schema"
+    );
+}
+
+#[test]
+fn legacy_x_total_shape_corruptions_are_schema_errors() {
+    // The files that still persist the dense matrix get it checked at
+    // load, before the cut is built from it: a popped row in either
+    // legacy format, and a ragged row (only JSON can even express one).
+    let cases = [
+        (
+            "json x_total row popped",
+            json_x_total_error(|rows| {
+                rows.pop();
+            }),
+        ),
+        (
+            "binary x_total row popped",
+            binary_x_total_error(|rows| {
+                rows.pop();
+            }),
+        ),
+        (
+            "json x_total ragged",
+            json_x_total_error(|rows| {
+                rows[0].as_array_mut().unwrap().pop();
+            }),
+        ),
+    ];
+    for (label, err) in cases {
         assert!(
-            matches!(err, CoreError::Schema(_)),
-            "{label}: gave {err:?}, expected Schema"
+            matches!(&err, CoreError::Schema(m) if m.contains("x_total")),
+            "{label}: gave {err:?}, expected an x_total Schema error"
+        );
+    }
+}
+
+#[test]
+fn legacy_non_finite_x_total_is_a_schema_error() {
+    // NaN has no JSON literal, so the schema-2 container carries it; an
+    // out-of-range JSON literal rounds to ±inf as an f32.
+    let err = binary_x_total_error(|rows| rows[1][2] = f32::NAN);
+    assert!(matches!(err, CoreError::Schema(_)), "{err:?}");
+    assert!(err.to_string().contains("x_total[1][2]"), "{err}");
+    for (label, err) in [
+        (
+            "binary +inf",
+            binary_x_total_error(|rows| rows[0][1] = f32::INFINITY),
+        ),
+        (
+            "binary -inf",
+            binary_x_total_error(|rows| rows[0][1] = f32::NEG_INFINITY),
+        ),
+        (
+            "json +inf",
+            json_x_total_error(|rows| {
+                rows[0].as_array_mut().unwrap()[1] = serde_json::Value::from(1e39f64);
+            }),
+        ),
+    ] {
+        assert!(
+            matches!(&err, CoreError::Schema(m) if m.contains("x_total[0][1]")),
+            "{label}: gave {err:?}"
         );
     }
 }
@@ -235,21 +364,10 @@ fn shape_corruptions_are_schema_errors() {
 
 #[test]
 fn non_finite_fields_fail_validation() {
-    // These cannot round-trip through JSON (NaN has no literal), so they
-    // model in-process corruption: validate() is the same gate load()
-    // runs, and it must catch every non-finite value the graph cut or
-    // the standardization would otherwise consume.
+    // These model in-process corruption: validate() is the same gate
+    // load() runs, and it must catch every non-finite value the graph
+    // cut or the standardization would otherwise consume.
     let (_, p) = fitted();
-
-    let mut snap = p.snapshot(&[]);
-    snap.x_total[1][2] = f32::NAN;
-    let err = snap.validate().unwrap_err();
-    assert!(matches!(err, CoreError::Schema(_)), "{err:?}");
-    assert!(err.to_string().contains("x_total[1][2]"), "{err}");
-
-    let mut snap = p.snapshot(&[]);
-    snap.x_total[0][1] = f32::INFINITY;
-    assert!(snap.validate().is_err());
 
     let mut snap = p.snapshot(&[]);
     snap.graph_min_sim = f32::NAN;
@@ -387,7 +505,7 @@ fn valid_snapshot_roundtrip_serves_bit_for_bit() {
     let engine = loaded.query_engine(EngineMode::Exact).unwrap();
     for author in [0u32, 5, 9] {
         let tweets = author_tweets(&d, author, 6);
-        let want = link_query(&p.query_model(), &tweets).unwrap();
+        let want = link_query(&p.query_model(), &p.x_total, &tweets).unwrap();
         let got = engine.link_query_authors(&[tweets]).unwrap().remove(0);
         assert_eq!(want.similarities, got.similarities, "author {author}");
         assert_eq!(want.subgraph, got.subgraph, "author {author}");

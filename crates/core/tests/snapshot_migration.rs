@@ -1,16 +1,18 @@
 //! Migration suite: every snapshot generation an earlier release wrote
 //! (v1 JSON, v2 JSON with a persisted IVF index, v3 binary with an index
-//! section, v3 binary quantized) must load and serve through today's
-//! engine, and re-saving into the v3 container must preserve serving
-//! exactly (f32) or within a pinned recall floor (i8).
+//! section, v3 binary quantized — all carrying the dense `x_total` — and
+//! the schema-3 container that carries the cut instead) must load and
+//! serve through today's engine, and re-saving into the v3 container must
+//! preserve serving exactly (f32) or within a pinned recall floor (i8).
 //!
-//! The files under `tests/fixtures/` were written by the JSON and
+//! The legacy files under `tests/fixtures/` were written by the JSON and
 //! index-section writers of commit be7cd44, the last one that had them,
-//! from a 14-author, dim-10 fit. They are the compatibility contract:
-//! never regenerate them with a later writer.
+//! from a 14-author, dim-10 fit; `v3_schema3.bin` is `v3_f32_index.bin`
+//! converted by the first schema-3 writer. They are the compatibility
+//! contract: never regenerate them with a later writer.
 
 use soulmate_core::pipeline::{Pipeline, PipelineConfig};
-use soulmate_core::snapshot::PipelineSnapshot;
+use soulmate_core::snapshot::{PipelineSnapshot, SNAPSHOT_VERSION};
 use soulmate_core::{CoreError, EngineMode, QueryOutcome};
 use soulmate_corpus::{generate, GeneratorConfig, Timestamp};
 use std::path::{Path, PathBuf};
@@ -46,8 +48,13 @@ fn fixture(name: &str) -> PathBuf {
         .join(name)
 }
 
-/// The f32 fixtures: each carries the same matrices bit for bit.
-const F32_FIXTURES: [&str; 3] = ["v1.json", "v2_index.json", "v3_f32_index.bin"];
+/// The f32 fixtures: each carries the same model bit for bit.
+const F32_FIXTURES: [&str; 4] = [
+    "v1.json",
+    "v2_index.json",
+    "v3_f32_index.bin",
+    "v3_schema3.bin",
+];
 
 /// The fixtures whose writer persisted an IVF index (now ignored).
 const INDEXED_FIXTURES: [&str; 2] = ["v2_index.json", "v3_f32_index.bin"];
@@ -122,6 +129,7 @@ fn every_committed_fixture_loads() {
         ("v2_index.json", 2),
         ("v3_f32_index.bin", 2),
         ("v3_qi8.bin", 2),
+        ("v3_schema3.bin", 3),
     ] {
         let snap = PipelineSnapshot::load(&fixture(name))
             .unwrap_or_else(|e| panic!("{name} no longer loads: {e}"));
@@ -149,6 +157,35 @@ fn f32_fixtures_answer_the_recorded_exact_outcome_bit_for_bit() {
         assert_eq!(got.query_index, want_query, "{name}: query index");
         assert_eq!(got.subgraph_avg_weight.to_bits(), want_avg, "{name}");
     }
+}
+
+#[test]
+fn schema3_fixture_carries_the_cut_of_its_source() {
+    // The cut the loader builds from the legacy file's x_total is the
+    // one the schema-3 conversion persisted, edge for edge and bit for
+    // bit, and the converted file holds no dense matrix.
+    let dense = PipelineSnapshot::load(&fixture("v3_f32_index.bin")).unwrap();
+    let cut = PipelineSnapshot::load(&fixture("v3_schema3.bin")).unwrap();
+    let bits = |s: &PipelineSnapshot| -> Vec<(usize, usize, u32)> {
+        s.cut
+            .base_edges()
+            .iter()
+            .map(|e| (e.u, e.v, e.w.to_bits()))
+            .collect()
+    };
+    assert_eq!(bits(&dense), bits(&cut));
+    assert_eq!(
+        cut.cut.base_edges().len(),
+        13,
+        "a spanning tree over 14 authors"
+    );
+    let info = soulmate_core::snapshot::binary::inspect(&fixture("v3_schema3.bin")).unwrap();
+    let names: Vec<&str> = info.sections.iter().map(|s| s.name).collect();
+    assert!(
+        names.contains(&"backbone") && names.contains(&"topk"),
+        "{names:?}"
+    );
+    assert!(!names.contains(&"x_total"), "{names:?}");
 }
 
 #[test]
@@ -218,11 +255,13 @@ fn v2_json_to_v3_binary_migration_serves_bit_for_bit() {
     let from_bin = PipelineSnapshot::load(&bin_path).unwrap();
     std::fs::remove_file(&bin_path).ok();
 
-    // The logical schema version and metadata survive the container.
-    assert_eq!(from_bin.version, from_json.version);
+    // The metadata survive the container. The writer emits schema 3,
+    // which persists the cut the JSON loader built from x_total.
+    assert_eq!(from_json.version, 2);
+    assert_eq!(from_bin.version, SNAPSHOT_VERSION);
     assert_eq!(from_bin.author_handles, from_json.author_handles);
     assert_eq!(from_bin.alpha, from_json.alpha);
-    assert_eq!(from_bin.x_total, from_json.x_total);
+    assert_eq!(from_bin.cut.base_edges(), from_json.cut.base_edges());
 
     for mode in [EngineMode::Exact, EngineMode::Quant { rerank: 1000 }] {
         let want = serve(&from_json, mode);
@@ -259,7 +298,10 @@ fn v1_json_snapshots_migrate_through_the_binary_container() {
     v1.save_binary(&bin_path, false).unwrap();
     let migrated = PipelineSnapshot::load(&bin_path).unwrap();
     std::fs::remove_file(&bin_path).ok();
-    assert_eq!(migrated.version, 1, "logical version must survive");
+    assert_eq!(
+        migrated.version, SNAPSHOT_VERSION,
+        "the writer emits schema 3"
+    );
 
     let want = serve(&v1, EngineMode::Exact);
     let got = serve(&migrated, EngineMode::Exact);

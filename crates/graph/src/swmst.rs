@@ -387,6 +387,46 @@ mod tests {
         });
     }
 
+    /// On a connected graph SW-MST stops exactly at full coverage: its
+    /// selected edges touch every node, and without the last one they do
+    /// not. (It is Kruskal cut short there, so it may stop before n − 1
+    /// edges, as `strong_edges_selected_first` shows.)
+    #[test]
+    fn prop_swmst_stops_exactly_at_full_coverage() {
+        check(256, |g| {
+            let n = g.usize(2..12);
+            // A random spanning tree keeps the graph connected; extra
+            // random edges give the pop loop choices to make.
+            let tree: Vec<(usize, usize, f32)> = (1..n)
+                .map(|v| (g.usize(0..v), v, g.f32(0.0..1.0)))
+                .collect();
+            let extra = g.vec(0..30, |g| (g.usize(0..n), g.usize(0..n), g.f32(0.0..1.0)));
+
+            let mut graph = WeightedGraph::new(n);
+            for (a, b, w) in tree.into_iter().chain(extra) {
+                if a != b {
+                    graph.add_edge(a, b, w).unwrap();
+                }
+            }
+            let covered = |edges: &[Edge]| -> usize {
+                let mut seen = vec![false; n];
+                for e in edges {
+                    seen[e.u] = true;
+                    seen[e.v] = true;
+                }
+                seen.iter().filter(|&&c| c).count()
+            };
+            let f = swmst(&graph);
+            let edges = f.edges();
+            assert!(!edges.is_empty() && edges.len() < n);
+            assert_eq!(covered(edges), n, "the selection covers every node");
+            assert!(
+                covered(&edges[..edges.len() - 1]) < n,
+                "the last selected edge completes the cover"
+            );
+        });
+    }
+
     #[test]
     fn prop_swmst_prefix_of_kruskal() {
         check(256, |g| {
