@@ -110,8 +110,9 @@ refit snapshot (binary format, atomic rename), and `--dim`/`--epochs`/
 
 `ingest` grows a snapshot offline with the same frozen-embedding delta
 path: the tweets file holds one blank-line-separated group per new
-author (`--handles` names them, default ingested-0..), and the grown
-snapshot is written to `--out`.
+author (`--handles` names them, default ingested-<row> after the
+author's row in the grown model), and the grown snapshot is written
+to `--out`.
 Experiment ids: fig1 fig3 fig4 fig8 fig9 fig10 fig11 table5 table6 table7
 ext_popularity ext_community ext_ablation ext_btcbow ext_scaling
 ext_retrieval.";
@@ -503,7 +504,11 @@ fn cmd_ingest<W: Write>(flags: &Flags, out: &mut W) -> Result<(), CliError> {
             }
             names
         }
-        None => (0..groups.len()).map(|i| format!("ingested-{i}")).collect(),
+        // Named by the row each author will take, so a later ingest into
+        // the grown model never repeats a handle.
+        None => (0..groups.len())
+            .map(|i| format!("ingested-{}", model.n_authors() + i))
+            .collect(),
     };
     let batches: Vec<IngestBatch> = handles
         .into_iter()
@@ -785,7 +790,6 @@ fn handle_of(model: &PipelineSnapshot, author: usize) -> &str {
     model
         .author_handles
         .get(author)
-        .map(String::as_str)
         .unwrap_or("<unknown-author>")
 }
 
@@ -1595,6 +1599,65 @@ mod tests {
         assert!(linked.contains("query author joined"), "got: {linked}");
 
         for p in [&data, &model, &tweets, &grown, &probe] {
+            std::fs::remove_file(p).ok();
+        }
+    }
+
+    #[test]
+    fn chained_ingests_without_handles_name_every_author_distinctly() {
+        let (data, model) = generate_and_fit("ingest-chain");
+        let tweets = tmp("ingest-chain-tweets.txt");
+        let once = tmp("ingest-chain-once.bin");
+        let twice = tmp("ingest-chain-twice.bin");
+        let dataset = corpus_io::load_json(&data).unwrap();
+        let group = |skip: usize| -> Vec<String> {
+            dataset
+                .tweets
+                .iter()
+                .skip(skip)
+                .take(4)
+                .map(|t| t.text.clone())
+                .collect()
+        };
+        std::fs::write(
+            &tweets,
+            format!("{}\n\n{}", group(0).join("\n"), group(4).join("\n")),
+        )
+        .unwrap();
+
+        // The same two groups, ingested into the fitted model and then
+        // again into the grown one, with default handles both times.
+        for (from, to) in [(&model, &once), (&once, &twice)] {
+            run_to_string(&[
+                "ingest",
+                "--model",
+                from.to_str().unwrap(),
+                "--tweets",
+                tweets.to_str().unwrap(),
+                "--out",
+                to.to_str().unwrap(),
+            ])
+            .unwrap();
+        }
+        let handles: Vec<String> = PipelineSnapshot::load(&twice)
+            .unwrap()
+            .author_handles
+            .iter()
+            .map(str::to_owned)
+            .collect();
+        assert_eq!(handles.len(), 18);
+        assert_eq!(
+            handles[14..],
+            ["ingested-14", "ingested-15", "ingested-16", "ingested-17"]
+        );
+        let distinct: std::collections::HashSet<&String> = handles.iter().collect();
+        assert_eq!(
+            distinct.len(),
+            handles.len(),
+            "repeated handle in {handles:?}"
+        );
+
+        for p in [&data, &model, &tweets, &once, &twice] {
             std::fs::remove_file(p).ok();
         }
     }

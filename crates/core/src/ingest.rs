@@ -14,11 +14,13 @@
 //!   handles, and spliced into the cached graph cut via
 //!   [`crate::engine::CachedCut::insert_author`] — `O(n·d + n·k + n log n)`
 //!   per author instead of a refit. No generation holds the `n²`
-//!   `X^Total`, so none is copied or grown. Under the frozen-embedding
-//!   contract the delta-updated engine answers queries **bit-identically**
-//!   to an engine whose cut is rebuilt with [`crate::engine::CachedCut::new`]
-//!   over the grown dense matrix (pinned by a property test); only a full
-//!   refit can change the embedding itself.
+//!   `X^Total`, so none is copied or grown, and the frozen vocabulary
+//!   and collective embedding are shared by every generation grown from
+//!   one fit. Under the frozen-embedding contract the delta-updated
+//!   engine answers queries **bit-identically** to an engine whose cut is
+//!   rebuilt with [`crate::engine::CachedCut::new`] over the grown dense
+//!   matrix (pinned by a property test); only a full refit can change the
+//!   embedding itself.
 //! * **Refit path** ([`RefitManager`]) — the existing
 //!   [`Trigger`] (Section 4.2.1) counts arriving tweets and schedules a
 //!   full [`Pipeline::fit`] over the grown dataset as a background job;
@@ -140,7 +142,9 @@ impl EngineGeneration {
     /// author rows and handles, and splice the new edges into the cached
     /// cut — `O(n·d + n·k + n log n)`, nothing `n²`. The quantized state
     /// is rebuilt (deterministic); an IVF index is detached until the
-    /// next refit.
+    /// next refit. The new generation copies only what grows (author
+    /// rows, normalized rows, cut, packed handles) and shares the frozen
+    /// vocabulary and collective embedding with this one.
     ///
     /// # Errors
     /// [`CoreError::Invalid`] when `batches` is empty or any author has
@@ -157,6 +161,8 @@ impl EngineGeneration {
         let obs = soulmate_obs::global();
         let start = std::time::Instant::now();
 
+        // The vocabulary and collective embedding are `Arc`s: this clone
+        // copies the author matrices and handles, not the frozen model.
         let mut snapshot = self.snapshot.clone();
         let mut content_rows = (*self.parts.content_rows).clone();
         let mut concept_rows = (*self.parts.concept_rows).clone();
@@ -183,7 +189,7 @@ impl EngineGeneration {
             // Grow the snapshot's raw vectors and handles.
             snapshot.author_content.push_row(&q.content)?;
             snapshot.author_concept.push_row(&q.concept)?;
-            snapshot.author_handles.push(batch.handle.clone());
+            snapshot.author_handles.push(&batch.handle);
 
             // Grow the derived rows with the same normalization
             // `NormalizedRows::from_matrix` applies, then splice the new
@@ -560,7 +566,7 @@ mod tests {
         assert_eq!(outcomes[2].author_index, n0 + 2);
         assert_eq!(gen1.n_authors(), n0 + 3);
         assert_eq!(gen0.n_authors(), n0, "source generation is untouched");
-        assert_eq!(gen1.snapshot().author_handles[n0], "ingest-a");
+        assert_eq!(gen1.snapshot().author_handles.get(n0), Some("ingest-a"));
 
         let fresh = rebuilt_engine(&gen1, x_total);
         let delta = gen1.engine();
@@ -610,6 +616,45 @@ mod tests {
             assert_eq!(&want.subgraph, &got.subgraph);
             assert_eq!(want.subgraph_avg_weight, got.subgraph_avg_weight);
         });
+    }
+
+    /// A delta ingest copies only what grows: every generation in a
+    /// chain shares the first one's vocabulary and collective embedding,
+    /// and a retired generation releases its references, so the strong
+    /// counts equal the number of live generations.
+    #[test]
+    fn generations_share_frozen_state_and_retired_ones_are_freed() {
+        let (d, shared, _) = fitted_shared();
+        // Fresh `Arc`s, so no other test's generations are counted.
+        let mut snapshot = shared.clone();
+        snapshot.vocab = Arc::new((*shared.vocab).clone());
+        snapshot.collective = Arc::new((*shared.collective).clone());
+        let vocab = Arc::downgrade(&snapshot.vocab);
+        let collective = Arc::downgrade(&snapshot.collective);
+
+        let gen0 = EngineGeneration::from_snapshot(snapshot, EngineMode::Exact).unwrap();
+        let (gen1, _) = gen0.ingest(&[batch(d, 1, 6, "chain-1")]).unwrap();
+        let (gen2, _) = gen1.ingest(&[batch(d, 4, 6, "chain-2")]).unwrap();
+        let (gen3, _) = gen2.ingest(&[batch(d, 9, 6, "chain-3")]).unwrap();
+        let first = gen0.snapshot();
+        for generation in [&gen1, &gen2, &gen3] {
+            assert!(Arc::ptr_eq(&generation.snapshot().vocab, &first.vocab));
+            assert!(Arc::ptr_eq(
+                &generation.snapshot().collective,
+                &first.collective
+            ));
+        }
+        assert_eq!(vocab.strong_count(), 4);
+        assert_eq!(collective.strong_count(), 4);
+        let n0 = gen0.n_authors();
+        assert_eq!(gen3.n_authors(), n0 + 3);
+        assert_eq!(gen3.snapshot().author_handles.get(n0 + 2), Some("chain-3"));
+
+        drop((gen0, gen1, gen2));
+        assert_eq!(vocab.strong_count(), 1);
+        assert_eq!(collective.strong_count(), 1);
+        drop(gen3);
+        assert!(vocab.upgrade().is_none() && collective.upgrade().is_none());
     }
 
     #[test]
@@ -754,6 +799,6 @@ mod tests {
         let loaded = PipelineSnapshot::load(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(loaded.author_handles, gen.snapshot().author_handles);
-        assert_eq!(loaded.author_handles.last().unwrap(), "persist-me");
+        assert_eq!(loaded.author_handles.iter().last(), Some("persist-me"));
     }
 }

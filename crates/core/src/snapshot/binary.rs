@@ -52,7 +52,7 @@
 //! drops it. `--quantize` applies to the author matrices only, so the
 //! cut of a quantized file is the fitted one, bit for bit.
 use super::{
-    atomic_write, cut_from_dense, CombinerTag, PipelineSnapshot, DENSE_VERSION_MAX,
+    atomic_write, cut_from_dense, CombinerTag, Handles, PipelineSnapshot, DENSE_VERSION_MAX,
     SNAPSHOT_VERSION, SNAPSHOT_VERSION_MIN,
 };
 use crate::engine::{max_backbone_edges, CachedCut};
@@ -61,7 +61,7 @@ use serde::{Deserialize, Serialize};
 use soulmate_embedding::Embedding;
 use soulmate_graph::Edge;
 use soulmate_linalg::{CenteredQuantizedRows, Matrix, QuantizedRows};
-use soulmate_text::TokenizerConfig;
+use soulmate_text::{TokenizerConfig, Vocabulary};
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -405,7 +405,7 @@ fn encode_sections(snap: &PipelineSnapshot, quantize: bool) -> Result<Vec<Sectio
         tweet_combiner: snap.tweet_combiner,
         graph_min_sim: snap.graph_min_sim,
         graph_top_k: snap.graph_top_k,
-        author_handles: snap.author_handles.clone(),
+        author_handles: snap.author_handles.iter().map(str::to_owned).collect(),
         concept_means: snap.concept_means.clone(),
         concept_stats: snap.concept_stats,
         content_stats: snap.content_stats,
@@ -420,7 +420,7 @@ fn encode_sections(snap: &PipelineSnapshot, quantize: bool) -> Result<Vec<Sectio
         Section {
             kind: KIND_VOCAB,
             encoding: ENC_JSON,
-            payload: to_json("vocabulary", &snap.vocab)?,
+            payload: to_json("vocabulary", &*snap.vocab)?,
         },
         // The collective embedding stays f32 even under --quantize:
         // query tweet vectors are built from these rows, and perturbing
@@ -1028,13 +1028,16 @@ pub fn load(path: &Path) -> Result<PipelineSnapshot, CoreError> {
             )))
         }
     };
-    let mut snapshot = PipelineSnapshot {
+    // The vocabulary's string→id index is skipped by serde.
+    let mut vocab: Vocabulary = vocab.ok_or(CoreError::Internal("vocab section missing"))?;
+    vocab.rebuild_index();
+    let snapshot = PipelineSnapshot {
         version: meta.version,
-        vocab: vocab.ok_or(CoreError::Internal("vocab section missing"))?,
+        vocab: Arc::new(vocab),
         tokenizer: meta.tokenizer,
-        collective: Embedding::from_matrix(
+        collective: Arc::new(Embedding::from_matrix(
             collective.ok_or(CoreError::Internal("collective section missing"))?,
-        ),
+        )),
         centroids: centroids.ok_or(CoreError::Internal("centroids section missing"))?,
         author_content,
         author_concept: author_concept
@@ -1047,12 +1050,10 @@ pub fn load(path: &Path) -> Result<PipelineSnapshot, CoreError> {
         tweet_combiner: meta.tweet_combiner,
         graph_min_sim: meta.graph_min_sim,
         graph_top_k: meta.graph_top_k,
-        author_handles: meta.author_handles,
+        author_handles: Handles::from(meta.author_handles),
         fit_metrics: meta.fit_metrics,
     };
     snapshot.validate()?;
-    // The vocabulary's string→id index is skipped by serde.
-    snapshot.vocab.rebuild_index();
     soulmate_obs::global().record_duration("snapshot.load_binary.seconds", start.elapsed());
     Ok(snapshot)
 }

@@ -15,6 +15,9 @@
 //! identically to the pipeline it came from.
 
 pub mod binary;
+mod handles;
+
+pub use handles::Handles;
 
 use crate::engine::CachedCut;
 use crate::error::CoreError;
@@ -67,12 +70,13 @@ pub struct PipelineSnapshot {
     /// persisted the dense `x_total`); the writer always emits
     /// [`SNAPSHOT_VERSION`].
     pub version: u32,
-    /// Offline vocabulary.
-    pub vocab: Vocabulary,
+    /// Offline vocabulary. Frozen between refits, so every generation
+    /// grown from this snapshot by a delta ingest shares it.
+    pub vocab: Arc<Vocabulary>,
     /// Tokenizer settings the vocabulary was built with.
     pub tokenizer: TokenizerConfig,
-    /// Collective word vectors `V^C`.
-    pub collective: Embedding,
+    /// Collective word vectors `V^C`, shared like the vocabulary.
+    pub collective: Arc<Embedding>,
     /// Concept centroids in tweet-vector space.
     pub centroids: Vec<Vec<f32>>,
     /// Author content vectors.
@@ -99,7 +103,7 @@ pub struct PipelineSnapshot {
     /// Graph sparsification: per-node lifelines.
     pub graph_top_k: usize,
     /// Author display handles, index-aligned with the vectors.
-    pub author_handles: Vec<String>,
+    pub author_handles: Handles,
     /// Fit-stage metrics summary captured when the snapshot was taken:
     /// `(histogram name, total seconds)` per `stage.*` histogram in the
     /// process-global [`soulmate_obs`] registry, sorted by name. Absent
@@ -269,7 +273,7 @@ impl Pipeline {
         let cut = CachedCut::new(&self.x_total, min_sim, top_k)
             .unwrap_or_else(|_| CachedCut::empty(min_sim, top_k));
         let handles = if author_handles.len() == self.n_authors() {
-            author_handles.to_vec()
+            author_handles.iter().collect()
         } else {
             (0..self.n_authors())
                 .map(|a| format!("author{a:04}"))
@@ -277,9 +281,9 @@ impl Pipeline {
         };
         PipelineSnapshot {
             version: SNAPSHOT_VERSION,
-            vocab: self.corpus.vocab.clone(),
+            vocab: Arc::new(self.corpus.vocab.clone()),
             tokenizer: self.config.tokenizer.clone(),
-            collective: self.collective.clone(),
+            collective: Arc::new(self.collective.clone()),
             centroids: self.concepts.centroids.clone(),
             author_content: self.author_content.clone(),
             author_concept: self.author_concept.clone(),
@@ -390,11 +394,14 @@ impl PipelineSnapshot {
             json.graph_min_sim,
             json.graph_top_k,
         )?;
-        let mut snapshot = PipelineSnapshot {
+        // The vocabulary's string→id index is skipped by serde.
+        let mut vocab = json.vocab;
+        vocab.rebuild_index();
+        let snapshot = PipelineSnapshot {
             version: json.version,
-            vocab: json.vocab,
+            vocab: Arc::new(vocab),
             tokenizer: json.tokenizer,
-            collective: json.collective,
+            collective: Arc::new(json.collective),
             centroids: json.centroids,
             author_content: json.author_content,
             author_concept: json.author_concept,
@@ -406,12 +413,10 @@ impl PipelineSnapshot {
             tweet_combiner: json.tweet_combiner,
             graph_min_sim: json.graph_min_sim,
             graph_top_k: json.graph_top_k,
-            author_handles: json.author_handles,
+            author_handles: Handles::from(json.author_handles),
             fit_metrics: json.fit_metrics,
         };
         snapshot.validate()?;
-        // The vocabulary's string→id index is skipped by serde.
-        snapshot.vocab.rebuild_index();
         soulmate_obs::global().record_duration("snapshot.load.seconds", start.elapsed());
         Ok(snapshot)
     }
@@ -582,7 +587,7 @@ mod tests {
         let loaded = PipelineSnapshot::load(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(loaded.n_authors(), p.n_authors());
-        assert_eq!(loaded.author_handles, handles);
+        assert_eq!(loaded.author_handles, Handles::from(handles));
         assert_eq!(loaded.cut.base_edges(), snap.cut.base_edges());
         assert_eq!(
             loaded.collective.matrix().as_slice(),
@@ -678,7 +683,7 @@ mod tests {
             }
         });
         let loaded = PipelineSnapshot::load(&path).unwrap();
-        let first = loaded.author_handles.first().unwrap().clone();
+        let first = loaded.author_handles.get(0).unwrap();
         assert!(
             loaded.author_handles == a.author_handles || loaded.author_handles == b.author_handles,
             "published snapshot is neither writer's (first handle {first})"
@@ -717,7 +722,7 @@ mod tests {
         let (_, p) = fitted();
         let snap = p.snapshot(&["just-one".to_string()]);
         assert_eq!(snap.author_handles.len(), p.n_authors());
-        assert!(snap.author_handles[0].starts_with("author"));
+        assert!(snap.author_handles.get(0).unwrap().starts_with("author"));
     }
 
     #[test]

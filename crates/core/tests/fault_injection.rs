@@ -19,6 +19,7 @@ use soulmate_core::snapshot::PipelineSnapshot;
 use soulmate_core::EngineMode;
 use soulmate_corpus::{generate, GeneratorConfig, Timestamp};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 fn fitted() -> (soulmate_corpus::Dataset, Pipeline) {
     let d = generate(&GeneratorConfig {
@@ -436,8 +437,9 @@ fn zero_dim_embedding_is_schema_error() {
     let (_, p) = fitted();
     let mut snap = p.snapshot(&[]);
     let vocab_len = snap.vocab.len();
-    snap.collective =
-        soulmate_embedding::Embedding::from_matrix(soulmate_linalg::Matrix::zeros(vocab_len, 0));
+    snap.collective = Arc::new(soulmate_embedding::Embedding::from_matrix(
+        soulmate_linalg::Matrix::zeros(vocab_len, 0),
+    ));
     let err = snap.validate().unwrap_err();
     assert!(matches!(err, CoreError::Schema(_)), "{err:?}");
 }
@@ -449,9 +451,8 @@ fn vocab_embedding_row_mismatch_is_schema_error() {
     let dim = snap.collective.dim();
     // One embedding row too few: an in-vocabulary word id would read a
     // vector that belongs to no word.
-    snap.collective = soulmate_embedding::Embedding::from_matrix(soulmate_linalg::Matrix::zeros(
-        snap.vocab.len().saturating_sub(1),
-        dim,
+    snap.collective = Arc::new(soulmate_embedding::Embedding::from_matrix(
+        soulmate_linalg::Matrix::zeros(snap.vocab.len().saturating_sub(1), dim),
     ));
     let err = snap.validate().unwrap_err();
     assert!(matches!(err, CoreError::Schema(_)), "{err:?}");

@@ -124,6 +124,9 @@ fn top_k(similarities: &[f32], k: usize) -> Vec<usize> {
 
 #[test]
 fn every_committed_fixture_loads() {
+    // Every fixture was written from the same fit, whose generated
+    // authors are `user0000`..`user0013`.
+    let handles: Vec<String> = (0..14).map(|a| format!("user{a:04}")).collect();
     for (name, version) in [
         ("v1.json", 1),
         ("v2_index.json", 2),
@@ -136,6 +139,8 @@ fn every_committed_fixture_loads() {
         assert_eq!(snap.version, version, "{name}");
         assert_eq!(snap.n_authors(), 14, "{name}");
         assert_eq!(snap.collective.dim(), 10, "{name}");
+        let loaded: Vec<&str> = snap.author_handles.iter().collect();
+        assert_eq!(loaded, handles, "{name}: handles");
     }
 }
 

@@ -63,7 +63,7 @@ fn main() {
         .subgraph
         .iter()
         .filter(|&&a| a != outcome.query_index)
-        .map(|&a| served.author_handles[a].as_str())
+        .filter_map(|&a| served.author_handles.get(a))
         .collect();
     println!(
         "Query author linked with {} authors: {}",
