@@ -9,9 +9,10 @@
 //! per fitted [`Pipeline`] / loaded [`PipelineSnapshot`]:
 //!
 //! * author content rows and mean-centered concept rows are pre-scaled to
-//!   unit norm once ([`NormalizedRows`]), so a query's similarity row is a
-//!   single rectangular Gram call ([`gram_rect_blocked`]) instead of a
-//!   scalar cosine loop that recomputes every author norm;
+//!   unit norm once, into [`ChunkedRows`] that a delta ingest grows by
+//!   sharing every full chunk, so a query's similarity row is one
+//!   chunk-wise scoring call ([`ChunkedRows::dots`]) instead of a scalar
+//!   cosine loop that recomputes every author norm;
 //! * the cut keeps a **backbone** of the sparsified base graph — its
 //!   maximum spanning forest plus the sub-threshold top-k lifelines, at
 //!   most `(n−1) + n·k` edges — already sorted in SW-MST
@@ -35,19 +36,20 @@
 //! node's weakest top-k lifeline out of its ranking.
 
 use crate::error::CoreError;
-use crate::online::{fused_row_from_dots, vectorize_query, QueryModel, QueryOutcome, QueryVectors};
+use crate::online::{
+    fused_row_from_dots, unit_scaled, vectorize_query, QueryModel, QueryOutcome, QueryVectors,
+};
 use crate::pipeline::Pipeline;
-use crate::similarity::center_rows;
 use crate::snapshot::PipelineSnapshot;
 use soulmate_corpus::Timestamp;
 use soulmate_graph::{
     stack_pop_order, swmst_from_sorted, swmst_from_sorted_with_component, Edge, GraphError,
     SpanningForest, UnionFind,
 };
-use soulmate_linalg::kernels::{
-    gram_rect_blocked, gram_rect_i8_blocked, gram_rect_rows_blocked, NormalizedRows,
+use soulmate_linalg::kernels::gram_rect_i8_blocked;
+use soulmate_linalg::{
+    dot, sub_assign, CenteredQuantizedRows, ChunkedRows, Matrix, QuantizedRows, RowSource,
 };
-use soulmate_linalg::{dot, CenteredQuantizedRows, Matrix, QuantizedRows};
 use soulmate_retrieval::{Candidates, IvfConfig, IvfIndex};
 use std::cmp::Ordering;
 use std::collections::HashSet;
@@ -722,12 +724,37 @@ impl CachedCut {
     ///
     /// # Errors
     /// [`CoreError::Invalid`] when `sims` is not length `n`.
-    // After the length validation every index below is < n: `sims`,
-    // `topk` have n entries and prefixes hold node ids < n.
-    #[allow(clippy::indexing_slicing)]
     pub fn insert_author(&mut self, sims: &[f32]) -> Result<(), CoreError> {
-        let n = self.n;
-        let k = self.top_k;
+        self.base_edges = self.grown_backbone(sims)?;
+        self.admit_prefixes(sims);
+        Ok(())
+    }
+
+    /// [`CachedCut::insert_author`] into a new cut, leaving this one as it
+    /// is: the grown backbone is built from this cut's, so only the
+    /// prefixes (which the insert edits) are copied.
+    ///
+    /// # Errors
+    /// [`CoreError::Invalid`] when `sims` is not length `n`.
+    pub(crate) fn with_author(&self, sims: &[f32]) -> Result<CachedCut, CoreError> {
+        let mut grown = CachedCut {
+            n: self.n,
+            min_sim: self.min_sim,
+            top_k: self.top_k,
+            base_edges: self.grown_backbone(sims)?,
+            topk: self.topk.clone(),
+            neg_nan_kth: Vec::new(),
+        };
+        grown.admit_prefixes(sims);
+        Ok(grown)
+    }
+
+    /// The backbone over this cut's nodes plus one new node whose
+    /// similarity row is `sims`.
+    ///
+    /// # Errors
+    /// [`CoreError::Invalid`] when `sims` is not length `n`.
+    fn grown_backbone(&self, sims: &[f32]) -> Result<Vec<Edge>, CoreError> {
         // Validates sims.len() == n and computes the graph edit under
         // exactly the rules `from_similarity` would apply to the grown
         // matrix — the same derivation the per-query path runs.
@@ -738,15 +765,24 @@ impl CachedCut {
         // exactly that forest; its sub-threshold edges are exactly the
         // grown graph's lifelines. Both stay in pop order.
         let min_sim = self.min_sim;
-        let mut uf = UnionFind::new(n + 1);
-        let backbone: Vec<Edge> = merge_edit(&self.base_edges, removed, q_edges)
+        let mut uf = UnionFind::new(self.n + 1);
+        Ok(merge_edit(&self.base_edges, removed, q_edges)
             .filter(|e| {
                 let tree_edge = uf.union(e.u, e.v);
                 tree_edge || !clears_threshold(e.w, min_sim)
             })
-            .collect();
-        self.base_edges = backbone;
+            .collect())
+    }
 
+    /// The top-k half of an insert, after the backbone: add node `n`
+    /// (similarity row `sims`, length-checked by
+    /// [`CachedCut::grown_backbone`]) to every ranking it enters and give
+    /// it its own prefix.
+    // `sims` and `topk` have n entries and prefixes hold node ids < n.
+    #[allow(clippy::indexing_slicing)]
+    fn admit_prefixes(&mut self, sims: &[f32]) {
+        let n = self.n;
+        let k = self.top_k;
         if k > 0 {
             // Existing nodes: the new index enters node i's ranking
             // exactly when it ranks strictly above i's rank-k neighbour
@@ -785,7 +821,6 @@ impl CachedCut {
         // node was added: recompute the (for any sane matrix, empty)
         // negative-NaN corner list in one O(n) sweep.
         self.neg_nan_kth = neg_nan_kth(&self.topk);
-        Ok(())
     }
 }
 
@@ -949,7 +984,7 @@ struct QuantChannel {
 
 impl QuantChannel {
     /// Quantize one unit-row matrix and precompute its exact cross terms.
-    fn build(unit: &Matrix) -> QuantChannel {
+    fn build(unit: &ChunkedRows) -> QuantChannel {
         let quant = CenteredQuantizedRows::quantize(unit);
         let corr = unit.iter_rows().map(|row| dot(row, quant.mean())).collect();
         let mean_sq = dot(quant.mean(), quant.mean());
@@ -1080,8 +1115,11 @@ pub struct QueryEngine<'a> {
 /// `EngineParts` is five reference-count bumps.
 #[derive(Debug, Clone)]
 pub(crate) struct EngineParts {
-    pub(crate) content_rows: Arc<NormalizedRows>,
-    pub(crate) concept_rows: Arc<NormalizedRows>,
+    /// Author content rows scaled to unit norm.
+    pub(crate) content_rows: Arc<ChunkedRows>,
+    /// Author concept rows centered by the population means, then scaled
+    /// to unit norm.
+    pub(crate) concept_rows: Arc<ChunkedRows>,
     pub(crate) cut: Arc<CachedCut>,
     /// Optional sub-linear candidate retriever. `None` = the IVF plan
     /// serves the exact path (and counts the fallback).
@@ -1101,7 +1139,8 @@ impl<'a> QueryEngine<'a> {
     ///
     /// # Errors
     /// [`CoreError::Invalid`] when the cut and the author matrices
-    /// disagree on the author count.
+    /// disagree on the author count, [`CoreError::Linalg`] when a
+    /// [`soulmate_linalg::RowSource`] hands out a row of the wrong width.
     pub fn new(model: QueryModel<'a>, cut: Arc<CachedCut>) -> Result<QueryEngine<'a>, CoreError> {
         let obs = soulmate_obs::global();
         let start = std::time::Instant::now();
@@ -1113,9 +1152,8 @@ impl<'a> QueryEngine<'a> {
                 model.author_concept.rows()
             )));
         }
-        let content_rows = NormalizedRows::from_matrix(model.author_content);
-        let concept_rows =
-            NormalizedRows::from_matrix(&center_rows(model.author_concept, model.concept_means));
+        let content_rows = unit_rows(model.author_content, None)?;
+        let concept_rows = unit_rows(model.author_concept, Some(model.concept_means))?;
         obs.record_duration("engine.build.seconds", start.elapsed());
         obs.incr("engine.builds", 1);
         obs.set_gauge("engine.n_authors", cut.n_authors() as f64);
@@ -1179,9 +1217,10 @@ impl<'a> QueryEngine<'a> {
     /// ([`QueryEngine::mode`]) — the one query method. The exact plan
     /// gives the same answers as [`crate::online::link_query`], amortized:
     /// the similarity rows of the whole batch are computed with two
-    /// rectangular Gram kernel calls, then each query merges into the
-    /// cached cut independently. The IVF and quantized plans pick each
-    /// query's candidates first and score only those exactly.
+    /// chunk-wise scoring calls ([`ChunkedRows::dots`]), then each query
+    /// merges into the cached cut independently. The IVF and quantized
+    /// plans pick each query's candidates first and score only those
+    /// exactly.
     ///
     /// Outcomes are index-aligned with `queries`, and each is
     /// bit-identical to serving its query alone.
@@ -1213,19 +1252,11 @@ impl<'a> QueryEngine<'a> {
         if qvecs.is_empty() {
             return Ok(Vec::new());
         }
-        let content_q: Vec<Vec<f32>> = qvecs.iter().map(|q| q.content_unit.clone()).collect();
-        let concept_q: Vec<Vec<f32>> = qvecs
-            .iter()
-            .map(|q| q.concept_centered_unit.clone())
-            .collect();
-        let content_q = Matrix::from_rows(&content_q)
-            .map_err(|_| CoreError::Internal("query content rows share one dim"))?;
-        let concept_q = Matrix::from_rows(&concept_q)
-            .map_err(|_| CoreError::Internal("query concept rows share one dim"))?;
         // out[q][a] = dot(query_unit_row, author_unit_row) — entry for
         // entry the same dot calls the legacy per-author loop makes.
-        let content_dots = gram_rect_blocked(&content_q, self.parts.content_rows.unit_matrix());
-        let concept_dots = gram_rect_blocked(&concept_q, self.parts.concept_rows.unit_matrix());
+        let (content_q, concept_q) = query_unit_rows(&qvecs);
+        let content_dots = self.parts.content_rows.dots(&content_q);
+        let concept_dots = self.parts.concept_rows.dots(&concept_q);
 
         let obs = soulmate_obs::global();
         let query_index = self.parts.cut.n_authors();
@@ -1256,7 +1287,7 @@ impl<'a> QueryEngine<'a> {
     /// Feature-space dimensionality the retrieval index routes in: the
     /// concatenation of the content and (centered) concept unit rows.
     pub fn retrieval_dim(&self) -> usize {
-        self.parts.content_rows.dim() + self.parts.concept_rows.dim()
+        self.parts.content_rows.cols() + self.parts.concept_rows.cols()
     }
 
     /// The author feature matrix the IVF index is built over: row `a` is
@@ -1280,14 +1311,14 @@ impl<'a> QueryEngine<'a> {
             row.extend(
                 self.parts
                     .content_rows
-                    .unit_row(a)
+                    .row(a)
                     .iter()
                     .map(|&v| v * w_content),
             );
             row.extend(
                 self.parts
                     .concept_rows
-                    .unit_row(a)
+                    .row(a)
                     .iter()
                     .map(|&v| v * w_concept),
             );
@@ -1339,8 +1370,8 @@ impl<'a> QueryEngine<'a> {
     ///
     /// Stage 1 probes `nprobe` centroids (`0` = the index default) per
     /// query; stage 2 exact-scores the union of all candidate sets (one
-    /// Gram call per matrix, not one per query) through the same Gram
-    /// kernel / [`fused_row_from_dots`] sequence as [`QueryEngine::serve`]
+    /// scoring call per matrix, not one per query) through the same `dot`
+    /// / [`fused_row_from_dots`] sequence as [`QueryEngine::serve`]
     /// (so a candidate's score is bit-identical to its exact-path score)
     /// and merges each query into the cached cut via
     /// [`CachedCut::cut_with_candidates`], every non-candidate scored as
@@ -1388,14 +1419,14 @@ impl<'a> QueryEngine<'a> {
     }
 
     /// Stage 2 shared by the IVF and quantized retrievers: exact-score
-    /// every query against the union of all candidate sets (one Gram call
-    /// per matrix, not one per query) and merge each query into the cached
-    /// cut via [`CachedCut::cut_with_candidates_component`]. A candidate's
+    /// every query against the union of all candidate sets (one
+    /// [`ChunkedRows::dots_at`] call per matrix, not one per query) and
+    /// merge each query into the cached cut via
+    /// [`CachedCut::cut_with_candidates_component`]. A candidate's
     /// reported score is bit-identical to its exact-path score — stage 1
     /// only ever decides *which* authors get scored. When the union covers
-    /// every author the Gram inputs are literally the exact path's full
-    /// unit matrices, so the whole outcome is bit-identical to
-    /// [`QueryEngine::serve`].
+    /// every author, every author gets its exact-path score, so the whole
+    /// outcome is bit-identical to [`QueryEngine::serve`].
     // Indexing is in-bounds by construction: both candidate producers (the
     // IVF probe, built by `build_index` over these rows, and the quantized
     // top-R selection over 0..n) emit author ids < n; `pos_of` has n
@@ -1431,41 +1462,13 @@ impl<'a> QueryEngine<'a> {
             }
         }
 
-        // ---- Stage 2: exact-score the union, one Gram call per matrix.
-        // When the union covers every author (exhaustive probes), the
-        // Gram inputs are literally the exact path's full unit matrices;
-        // a partial union goes through the row-indexed kernel, which is
-        // bit-identical to gathering the rows first (proven in
-        // `soulmate-linalg`) without the per-query submatrix copies. ----
+        // ---- Stage 2: exact-score the union, one scoring call per
+        // matrix. The rows are read in place through the store (no
+        // gather copy), each score the same dot the exact path takes. ----
         let stage2_start = std::time::Instant::now();
-        let content_q: Vec<Vec<f32>> = qvecs.iter().map(|q| q.content_unit.clone()).collect();
-        let concept_q: Vec<Vec<f32>> = qvecs
-            .iter()
-            .map(|q| q.concept_centered_unit.clone())
-            .collect();
-        let content_q = Matrix::from_rows(&content_q)
-            .map_err(|_| CoreError::Internal("query content rows share one dim"))?;
-        let concept_q = Matrix::from_rows(&concept_q)
-            .map_err(|_| CoreError::Internal("query concept rows share one dim"))?;
-        let (content_dots, concept_dots) = if union_ids.len() == n {
-            (
-                gram_rect_blocked(&content_q, self.parts.content_rows.unit_matrix()),
-                gram_rect_blocked(&concept_q, self.parts.concept_rows.unit_matrix()),
-            )
-        } else {
-            (
-                gram_rect_rows_blocked(
-                    &content_q,
-                    self.parts.content_rows.unit_matrix(),
-                    &union_ids,
-                ),
-                gram_rect_rows_blocked(
-                    &concept_q,
-                    self.parts.concept_rows.unit_matrix(),
-                    &union_ids,
-                ),
-            )
-        };
+        let (content_q, concept_q) = query_unit_rows(&qvecs);
+        let content_dots = self.parts.content_rows.dots_at(&content_q, &union_ids);
+        let concept_dots = self.parts.concept_rows.dots_at(&concept_q, &union_ids);
         obs.record_duration(metrics.stage2_seconds, stage2_start.elapsed());
 
         let query_index = n;
@@ -1525,8 +1528,8 @@ impl<'a> QueryEngine<'a> {
         let obs = soulmate_obs::global();
         let start = std::time::Instant::now();
         self.parts.quant = Some(Arc::new(QuantState {
-            content: QuantChannel::build(self.parts.content_rows.unit_matrix()),
-            concept: QuantChannel::build(self.parts.concept_rows.unit_matrix()),
+            content: QuantChannel::build(&self.parts.content_rows),
+            concept: QuantChannel::build(&self.parts.concept_rows),
         }));
         obs.record_duration("engine.quant.build.seconds", start.elapsed());
         obs.incr("engine.quant.builds", 1);
@@ -1636,6 +1639,43 @@ fn fusion_weights(model: &QueryModel<'_>) -> (f32, f32) {
         (1.0 - model.alpha) / guard(model.content_stats.1),
         model.alpha / guard(model.concept_stats.1),
     )
+}
+
+/// Every row of `rows`, first centered by `center` when given, scaled to
+/// unit norm with the query path's [`unit_scaled`] — so an author's unit
+/// row is bitwise the query-side unit vector of the same raw vector, and
+/// a delta ingest can append the query vectors it already has.
+///
+/// # Errors
+/// [`CoreError::Linalg`] when a row is not `rows.cols()` wide.
+fn unit_rows(rows: &dyn RowSource, center: Option<&[f32]>) -> Result<ChunkedRows, CoreError> {
+    let mut out = ChunkedRows::new(rows.cols());
+    let mut row = Vec::with_capacity(rows.cols());
+    for a in 0..rows.rows() {
+        row.clear();
+        row.extend_from_slice(rows.row(a));
+        if let Some(means) = center {
+            sub_assign(&mut row, means);
+        }
+        // `unit_scaled` scales in place and hands the buffer back.
+        row = unit_scaled(row);
+        out.push_row(&row)?;
+    }
+    Ok(out)
+}
+
+/// The batch's unit content and centered-unit concept rows, borrowed for
+/// the scoring calls.
+fn query_unit_rows(qvecs: &[QueryVectors]) -> (Vec<&[f32]>, Vec<&[f32]>) {
+    qvecs
+        .iter()
+        .map(|q| {
+            (
+                q.content_unit.as_slice(),
+                q.concept_centered_unit.as_slice(),
+            )
+        })
+        .unzip()
 }
 
 /// The probe-side vector for the retrieval feature space: the plain

@@ -48,13 +48,12 @@
 //! the exact path meanwhile (counted in `engine.ivf.fallbacks`).
 //! Quantized state is rebuilt inline (deterministic, `O(n·d)`).
 
-use crate::engine::{EngineMode, EngineParts, QueryEngine};
+use crate::engine::{CachedCut, EngineMode, EngineParts, QueryEngine};
 use crate::error::CoreError;
 use crate::online::{fused_row_from_dots, vectorize_query, Trigger};
 use crate::pipeline::{Pipeline, PipelineConfig};
 use crate::snapshot::PipelineSnapshot;
 use soulmate_corpus::{Author, Dataset, Timestamp, Tweet};
-use soulmate_linalg::{dot, sub_assign};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -137,14 +136,15 @@ impl EngineGeneration {
     /// an [`EngineCell`]).
     ///
     /// Per author: vectorize with the query-path machinery, compute the
-    /// fused similarity row against the current rows (unit-dot +
-    /// [`fused_row_from_dots`], bit-identical to a query's row), grow the
-    /// author rows and handles, and splice the new edges into the cached
-    /// cut — `O(n·d + n·k + n log n)`, nothing `n²`. The quantized state
-    /// is rebuilt (deterministic); an IVF index is detached until the
-    /// next refit. The new generation copies only what grows (author
-    /// rows, normalized rows, cut, packed handles) and shares the frozen
-    /// vocabulary and collective embedding with this one.
+    /// fused similarity row against the current rows (the query path's
+    /// chunk-wise scoring + [`fused_row_from_dots`], bit-identical to a
+    /// query's row), grow the author rows and handles, and splice the new
+    /// edges into the cached cut — `O(n·d + n·k + n log n)`, nothing
+    /// `n²`. The quantized state is rebuilt (deterministic); an IVF index
+    /// is detached until the next refit. The new generation shares the frozen vocabulary and
+    /// collective embedding with this one, and every full chunk of its
+    /// author rows; it copies the packed handles, the cut's top-k
+    /// prefixes and at most one tail chunk (`TILE − 1` rows) per matrix.
     ///
     /// # Errors
     /// [`CoreError::Invalid`] when `batches` is empty or any author has
@@ -161,29 +161,30 @@ impl EngineGeneration {
         let obs = soulmate_obs::global();
         let start = std::time::Instant::now();
 
-        // The vocabulary and collective embedding are `Arc`s: this clone
-        // copies the author matrices and handles, not the frozen model.
+        // The vocabulary and collective embedding are `Arc`s and the
+        // author rows are chunked: these clones copy the handles and a
+        // few chunk pointers, and the pushes below copy at most one tail
+        // chunk per matrix. Every full chunk stays shared with `self`.
         let mut snapshot = self.snapshot.clone();
         let mut content_rows = (*self.parts.content_rows).clone();
         let mut concept_rows = (*self.parts.concept_rows).clone();
-        let mut cut = (*self.parts.cut).clone();
+        let mut grown: Option<CachedCut> = None;
         let mut outcomes = Vec::with_capacity(batches.len());
         let mut total_tweets = 0u64;
 
         for batch in batches {
             let q = vectorize_query(&snapshot.query_model(), &batch.tweets)?;
-            let n = cut.n_authors();
+            let n = content_rows.rows();
 
             // The new author's fused similarity row against every
-            // existing author — the exact sequence the query path runs,
-            // so the new (existing, new) entries of X^Total are bitwise
-            // the scores a query with these tweets would have reported.
-            let content_dots: Vec<f32> = (0..n)
-                .map(|a| dot(&q.content_unit, content_rows.unit_row(a)))
-                .collect();
-            let concept_dots: Vec<f32> = (0..n)
-                .map(|a| dot(&q.concept_centered_unit, concept_rows.unit_row(a)))
-                .collect();
+            // existing author — the scoring call and fusion the query
+            // path runs, so the new (existing, new) entries of X^Total are
+            // bitwise the scores a query with these tweets would report.
+            let (content_dots, concept_dots) = content_rows
+                .dots(&[&q.content_unit])
+                .pop()
+                .zip(concept_rows.dots(&[&q.concept_centered_unit]).pop())
+                .ok_or(CoreError::Internal("one dot row per query"))?;
             let sims = fused_row_from_dots(&snapshot.query_model(), &content_dots, &concept_dots);
 
             // Grow the snapshot's raw vectors and handles.
@@ -191,14 +192,15 @@ impl EngineGeneration {
             snapshot.author_concept.push_row(&q.concept)?;
             snapshot.author_handles.push(&batch.handle);
 
-            // Grow the derived rows with the same normalization
-            // `NormalizedRows::from_matrix` applies, then splice the new
-            // author's edges into the cached cut.
-            content_rows.push(&q.content)?;
-            let mut centered = q.concept.clone();
-            sub_assign(&mut centered, &snapshot.concept_means);
-            concept_rows.push(&centered)?;
-            cut.insert_author(&sims)?;
+            // Grow the engine's unit rows by the query's own unit vectors,
+            // which the engine build computes the same way from the raw
+            // rows, then splice the new author's edges into the cut.
+            content_rows.push_row(&q.content_unit)?;
+            concept_rows.push_row(&q.concept_centered_unit)?;
+            match grown.as_mut() {
+                Some(cut) => cut.insert_author(&sims)?,
+                None => grown = Some(self.parts.cut.with_author(&sims)?),
+            }
 
             total_tweets += batch.tweets.len() as u64;
             outcomes.push(IngestOutcome {
@@ -208,7 +210,7 @@ impl EngineGeneration {
             });
         }
 
-        let cut = Arc::new(cut);
+        let cut = Arc::new(grown.ok_or(CoreError::Internal("a non-empty batch grows the cut"))?);
         snapshot.cut = Arc::clone(&cut);
         let mut parts = EngineParts {
             content_rows: Arc::new(content_rows),
@@ -437,6 +439,7 @@ mod tests {
     use soulmate_check::check;
     use soulmate_corpus::{generate, GeneratorConfig};
     use soulmate_linalg::kernels::NormalizedRows;
+    use soulmate_linalg::{dot, ChunkedRows, TILE};
 
     fn fitted() -> (Dataset, Pipeline) {
         let d = generate(&GeneratorConfig {
@@ -479,9 +482,11 @@ mod tests {
     /// matrices with the query path's unit-dot + fusion sequence.
     fn grown_dense(x_total: &[Vec<f32>], snap: &PipelineSnapshot) -> Vec<Vec<f32>> {
         let model = snap.query_model();
-        let content = NormalizedRows::from_matrix(&snap.author_content);
-        let concept =
-            NormalizedRows::from_matrix(&center_rows(&snap.author_concept, &snap.concept_means));
+        let content = NormalizedRows::from_matrix(&snap.author_content.to_matrix());
+        let concept = NormalizedRows::from_matrix(&center_rows(
+            &snap.author_concept.to_matrix(),
+            &snap.concept_means,
+        ));
         let mut x = x_total.to_vec();
         for m in x.len()..snap.n_authors() {
             let dots = |rows: &NormalizedRows| -> Vec<f32> {
@@ -618,10 +623,62 @@ mod tests {
         });
     }
 
+    /// Single-author ingest chains that start at `TILE − 1`, `TILE` and
+    /// `TILE + 1` authors — the tail chunk one row short of full, full,
+    /// and just opened — keep the delta engine bit-identical to the
+    /// rebuilt engine after every step.
+    #[test]
+    fn chained_ingests_across_chunk_boundaries_match_rebuilt_engine() {
+        let (d, snapshot, x_total) = fitted_shared();
+        let gen0 = EngineGeneration::from_snapshot(snapshot.clone(), EngineMode::Exact).unwrap();
+        let tweets = author_tweets(d, 5, 7);
+        for start in [TILE - 1, TILE, TILE + 1] {
+            let (mut generation, _) = gen0
+                .ingest(&grow_batches(d, gen0.n_authors(), start))
+                .unwrap();
+            assert_eq!(generation.n_authors(), start);
+            for step in 0..3u32 {
+                let handle = format!("chain-{start}-{step}");
+                let (next, _) = generation
+                    .ingest(&[batch(d, (step * 7 + 3) % 18, 8, &handle)])
+                    .unwrap();
+                generation = next;
+                let fresh = rebuilt_engine(&generation, x_total);
+                let delta = generation.engine();
+                assert_eq!(fresh.cut().base_edges(), delta.cut().base_edges());
+                let (want, got) = (link_one(&fresh, &tweets), link_one(&delta, &tweets));
+                assert_eq!(want.similarities, got.similarities, "{handle}");
+                assert_eq!(want.subgraph, got.subgraph, "{handle}");
+                assert_eq!(want.subgraph_avg_weight, got.subgraph_avg_weight);
+            }
+        }
+    }
+
+    /// One new author per index in `from..to`, each with six tweets of a
+    /// dataset author (cycling through them).
+    fn grow_batches(d: &Dataset, from: usize, to: usize) -> Vec<IngestBatch> {
+        (from..to)
+            .map(|i| batch(d, (i % 18) as u32, 6, &format!("grow-{i}")))
+            .collect()
+    }
+
+    /// The four row stores a generation holds: the snapshot's raw content
+    /// and concept rows and the engine's unit rows.
+    fn row_stores(generation: &EngineGeneration) -> [&ChunkedRows; 4] {
+        [
+            &generation.snapshot.author_content,
+            &generation.snapshot.author_concept,
+            &generation.parts.content_rows,
+            &generation.parts.concept_rows,
+        ]
+    }
+
     /// A delta ingest copies only what grows: every generation in a
     /// chain shares the first one's vocabulary and collective embedding,
-    /// and a retired generation releases its references, so the strong
-    /// counts equal the number of live generations.
+    /// and each single-author ingest shares every full chunk of its
+    /// parent's rows, owning at most one chunk per matrix. A retired
+    /// generation releases its references, so the strong counts equal the
+    /// number of live generations.
     #[test]
     fn generations_share_frozen_state_and_retired_ones_are_freed() {
         let (d, shared, _) = fitted_shared();
@@ -633,28 +690,59 @@ mod tests {
         let collective = Arc::downgrade(&snapshot.collective);
 
         let gen0 = EngineGeneration::from_snapshot(snapshot, EngineMode::Exact).unwrap();
-        let (gen1, _) = gen0.ingest(&[batch(d, 1, 6, "chain-1")]).unwrap();
-        let (gen2, _) = gen1.ingest(&[batch(d, 4, 6, "chain-2")]).unwrap();
-        let (gen3, _) = gen2.ingest(&[batch(d, 9, 6, "chain-3")]).unwrap();
+        // Up to one row short of a full chunk, then across the boundary
+        // one author at a time.
+        let (base, _) = gen0
+            .ingest(&grow_batches(d, gen0.n_authors(), TILE - 1))
+            .unwrap();
+        let mut chain = vec![base];
+        for (i, source) in [1u32, 4, 9].into_iter().enumerate() {
+            let parent = &chain[i];
+            let (child, _) = parent
+                .ingest(&[batch(d, source, 6, &format!("chain-{i}"))])
+                .unwrap();
+            for (p, c) in row_stores(parent).into_iter().zip(row_stores(&child)) {
+                assert_eq!(c.rows(), p.rows() + 1);
+                for full in 0..p.rows() / TILE {
+                    assert!(Arc::ptr_eq(&p.chunks()[full], &c.chunks()[full]));
+                }
+                let owned = c.chunks().iter().filter(|ch| Arc::strong_count(ch) == 1);
+                assert!(owned.count() <= 1, "ingest {i} owns more than its tail");
+            }
+            chain.push(child);
+        }
         let first = gen0.snapshot();
-        for generation in [&gen1, &gen2, &gen3] {
+        for generation in &chain {
             assert!(Arc::ptr_eq(&generation.snapshot().vocab, &first.vocab));
             assert!(Arc::ptr_eq(
                 &generation.snapshot().collective,
                 &first.collective
             ));
         }
-        assert_eq!(vocab.strong_count(), 4);
-        assert_eq!(collective.strong_count(), 4);
-        let n0 = gen0.n_authors();
-        assert_eq!(gen3.n_authors(), n0 + 3);
-        assert_eq!(gen3.snapshot().author_handles.get(n0 + 2), Some("chain-3"));
+        assert_eq!(vocab.strong_count(), 5);
+        assert_eq!(collective.strong_count(), 5);
+        let last = &chain[3];
+        assert_eq!(last.n_authors(), TILE + 2);
+        assert_eq!(
+            last.snapshot().author_handles.get(TILE + 1),
+            Some("chain-2")
+        );
 
-        drop((gen0, gen1, gen2));
+        // The first full chunk of each matrix was filled by the ingest
+        // into `chain[1]` and is read by it and both later generations.
+        let full_chunks: Vec<_> = row_stores(last)
+            .into_iter()
+            .map(|rows| Arc::downgrade(&rows.chunks()[0]))
+            .collect();
+        assert!(full_chunks.iter().all(|w| w.strong_count() == 3));
+        let last = chain.pop().unwrap();
+        drop((gen0, chain));
         assert_eq!(vocab.strong_count(), 1);
         assert_eq!(collective.strong_count(), 1);
-        drop(gen3);
+        assert!(full_chunks.iter().all(|w| w.strong_count() == 1));
+        drop(last);
         assert!(vocab.upgrade().is_none() && collective.upgrade().is_none());
+        assert!(full_chunks.iter().all(|w| w.upgrade().is_none()));
     }
 
     #[test]

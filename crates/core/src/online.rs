@@ -10,13 +10,11 @@
 
 use crate::error::CoreError;
 use crate::pipeline::Pipeline;
-use crate::similarity::center_rows;
 use crate::tweetvec::{tweet_vector, Combiner};
 use soulmate_corpus::Timestamp;
 use soulmate_embedding::Embedding;
 use soulmate_graph::{swmst, WeightedGraph};
-use soulmate_linalg::kernels::NormalizedRows;
-use soulmate_linalg::{dot, euclidean, l2_norm, scale, Matrix};
+use soulmate_linalg::{dot, euclidean, l2_norm, scale, sub_assign, RowSource};
 use soulmate_text::{tokenize, TokenizerConfig, Vocabulary};
 
 /// Result of linking a query author.
@@ -49,10 +47,11 @@ pub struct QueryModel<'a> {
     pub collective: &'a Embedding,
     /// Concept centroids in tweet-vector space.
     pub centroids: &'a [Vec<f32>],
-    /// Author content vectors (row per author).
-    pub author_content: &'a Matrix,
+    /// Author content vectors (row per author): a fitted pipeline's
+    /// `Matrix`, or a snapshot's `ChunkedRows` that ingest grows.
+    pub author_content: &'a dyn RowSource,
     /// Author concept vectors (row per author).
-    pub author_concept: &'a Matrix,
+    pub author_concept: &'a dyn RowSource,
     /// Population means of the concept profiles; both the query and the
     /// stored author profiles are centered by these before cosine.
     pub concept_means: &'a [f32],
@@ -82,16 +81,19 @@ pub(crate) struct QueryVectors {
     /// Raw concept vector (average centroid-distance profile, Eq 15).
     pub concept: Vec<f32>,
     /// `content` scaled to unit L2 norm (all-zero when degenerate) — the
-    /// query-side counterpart of [`NormalizedRows`].
+    /// query-side counterpart of the engine's unit author rows.
     pub content_unit: Vec<f32>,
     /// `concept` centered by the offline population means, then
     /// unit-scaled.
     pub concept_centered_unit: Vec<f32>,
 }
 
-/// Scale to unit L2 norm exactly like [`NormalizedRows::from_matrix`] does
-/// (zero/degenerate rows stay untouched).
-fn unit_scaled(mut v: Vec<f32>) -> Vec<f32> {
+/// Scale to unit L2 norm exactly like
+/// [`soulmate_linalg::NormalizedRows::from_matrix`] does (zero/degenerate
+/// rows stay untouched). The engine's unit author rows are built with it
+/// too, so an author row and a query row with equal raw vectors are
+/// bitwise equal.
+pub(crate) fn unit_scaled(mut v: Vec<f32>) -> Vec<f32> {
     let n = l2_norm(&v);
     if n > 0.0 {
         scale(&mut v, 1.0 / n);
@@ -147,7 +149,7 @@ pub(crate) fn vectorize_query(
     // Concept profiles are centered by the offline population means before
     // cosine (matching `concept_similarity_matrix`).
     let mut concept_centered = concept.clone();
-    soulmate_linalg::sub_assign(&mut concept_centered, model.concept_means);
+    sub_assign(&mut concept_centered, model.concept_means);
 
     let content_unit = unit_scaled(content.clone());
     let concept_centered_unit = unit_scaled(concept_centered);
@@ -179,6 +181,25 @@ pub(crate) fn fused_row_from_dots(
         .collect()
 }
 
+/// `dot(query, unit(row_a − center))` for every author row `a`: the
+/// cosine against each author, each row centered (when `center` is given)
+/// and unit-scaled in one reused scratch row.
+fn unit_dots(query: &[f32], rows: &dyn RowSource, center: Option<&[f32]>) -> Vec<f32> {
+    let mut row = Vec::with_capacity(rows.cols());
+    (0..rows.rows())
+        .map(|a| {
+            row.clear();
+            row.extend_from_slice(rows.row(a));
+            if let Some(means) = center {
+                sub_assign(&mut row, means);
+            }
+            // `unit_scaled` scales in place and hands the buffer back.
+            row = unit_scaled(std::mem::take(&mut row));
+            dot(query, &row)
+        })
+        .collect()
+}
+
 /// Include a query author against a [`QueryModel`] and its dense fused
 /// similarity matrix `x_total` (`X^Total-α`, e.g. [`Pipeline::x_total`])
 /// and extract their subgraph (Problems 2 & 3, online side).
@@ -202,18 +223,16 @@ pub fn link_query(
 ) -> Result<QueryOutcome, CoreError> {
     let q = vectorize_query(model, tweets)?;
 
-    // Similarity of the query author to every existing author: one cached
-    // unit-row dot per matrix (the cosine), fused per Eq 17.
+    // Similarity of the query author to every existing author: one
+    // unit-row dot per matrix (the cosine), fused per Eq 17. Concept rows
+    // are centered by the population means first.
     let n = model.author_content.rows();
-    let content_rows = NormalizedRows::from_matrix(model.author_content);
-    let concept_rows =
-        NormalizedRows::from_matrix(&center_rows(model.author_concept, model.concept_means));
-    let content_dots: Vec<f32> = (0..n)
-        .map(|a| dot(&q.content_unit, content_rows.unit_row(a)))
-        .collect();
-    let concept_dots: Vec<f32> = (0..n)
-        .map(|a| dot(&q.concept_centered_unit, concept_rows.unit_row(a)))
-        .collect();
+    let content_dots = unit_dots(&q.content_unit, model.author_content, None);
+    let concept_dots = unit_dots(
+        &q.concept_centered_unit,
+        model.author_concept,
+        Some(model.concept_means),
+    );
     let similarities = fused_row_from_dots(model, &content_dots, &concept_dots);
     let content_vector = q.content;
     let concept_vector = q.concept;

@@ -60,7 +60,7 @@ use crate::error::CoreError;
 use serde::{Deserialize, Serialize};
 use soulmate_embedding::Embedding;
 use soulmate_graph::Edge;
-use soulmate_linalg::{CenteredQuantizedRows, Matrix, QuantizedRows};
+use soulmate_linalg::{CenteredQuantizedRows, ChunkedRows, Matrix, QuantizedRows};
 use soulmate_text::{TokenizerConfig, Vocabulary};
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -439,8 +439,16 @@ fn encode_sections(snap: &PipelineSnapshot, quantize: bool) -> Result<Vec<Sectio
             encoding: ENC_TOPK,
             payload: encode_topk(&snap.cut)?,
         },
-        Section::matrix(KIND_AUTHOR_CONTENT, &snap.author_content, quantize),
-        Section::matrix(KIND_AUTHOR_CONCEPT, &snap.author_concept, quantize),
+        Section::matrix(
+            KIND_AUTHOR_CONTENT,
+            &snap.author_content.to_matrix(),
+            quantize,
+        ),
+        Section::matrix(
+            KIND_AUTHOR_CONCEPT,
+            &snap.author_concept.to_matrix(),
+            quantize,
+        ),
     ])
 }
 
@@ -1039,9 +1047,10 @@ pub fn load(path: &Path) -> Result<PipelineSnapshot, CoreError> {
             collective.ok_or(CoreError::Internal("collective section missing"))?,
         )),
         centroids: centroids.ok_or(CoreError::Internal("centroids section missing"))?,
-        author_content,
-        author_concept: author_concept
-            .ok_or(CoreError::Internal("author_concept section missing"))?,
+        author_content: ChunkedRows::from(&author_content),
+        author_concept: ChunkedRows::from(
+            &author_concept.ok_or(CoreError::Internal("author_concept section missing"))?,
+        ),
         concept_means: meta.concept_means,
         concept_stats: meta.concept_stats,
         content_stats: meta.content_stats,
@@ -1118,8 +1127,8 @@ mod tests {
         assert_eq!(loaded.version, snap.version);
         assert_eq!(loaded.author_handles, snap.author_handles);
         assert_eq!(
-            loaded.author_content.as_slice(),
-            snap.author_content.as_slice()
+            loaded.author_content.to_matrix().as_slice(),
+            snap.author_content.to_matrix().as_slice()
         );
         assert_eq!(
             loaded.collective.matrix().as_slice(),
@@ -1167,7 +1176,7 @@ mod tests {
         // Dequantized values sit within half a *residual* scale step of
         // the source (the quantizer is deterministic, so recomputing it
         // here yields the exact scales the writer used).
-        let c = CenteredQuantizedRows::quantize(&snap.author_content);
+        let c = CenteredQuantizedRows::quantize(&snap.author_content.to_matrix());
         for i in 0..snap.author_content.rows() {
             let orig = snap.author_content.row(i);
             let bound = c.rows().scale(i) * 0.5 + 1e-6;

@@ -26,7 +26,7 @@ use crate::pipeline::Pipeline;
 use crate::tweetvec::Combiner;
 use serde::{Deserialize, Serialize};
 use soulmate_embedding::Embedding;
-use soulmate_linalg::Matrix;
+use soulmate_linalg::{ChunkedRows, Matrix};
 use soulmate_text::{TokenizerConfig, Vocabulary};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
@@ -79,10 +79,11 @@ pub struct PipelineSnapshot {
     pub collective: Arc<Embedding>,
     /// Concept centroids in tweet-vector space.
     pub centroids: Vec<Vec<f32>>,
-    /// Author content vectors.
-    pub author_content: Matrix,
-    /// Author concept vectors.
-    pub author_concept: Matrix,
+    /// Author content vectors. Chunked, so generations grown from this
+    /// snapshot by a delta ingest share every full chunk of rows.
+    pub author_content: ChunkedRows,
+    /// Author concept vectors, chunked like `author_content`.
+    pub author_concept: ChunkedRows,
     /// Population means of the concept profiles (online centering).
     pub concept_means: Vec<f32>,
     /// Off-diagonal (mean, std) of `X^Concept` (fusion standardization).
@@ -285,8 +286,8 @@ impl Pipeline {
             tokenizer: self.config.tokenizer.clone(),
             collective: Arc::new(self.collective.clone()),
             centroids: self.concepts.centroids.clone(),
-            author_content: self.author_content.clone(),
-            author_concept: self.author_concept.clone(),
+            author_content: ChunkedRows::from(&self.author_content),
+            author_concept: ChunkedRows::from(&self.author_concept),
             concept_means: self.concept_means.clone(),
             concept_stats: self.concept_stats,
             content_stats: self.content_stats,
@@ -403,8 +404,8 @@ impl PipelineSnapshot {
             tokenizer: json.tokenizer,
             collective: Arc::new(json.collective),
             centroids: json.centroids,
-            author_content: json.author_content,
-            author_concept: json.author_concept,
+            author_content: ChunkedRows::from(&json.author_content),
+            author_concept: ChunkedRows::from(&json.author_concept),
             concept_means: json.concept_means,
             concept_stats: json.concept_stats,
             content_stats: json.content_stats,

@@ -67,24 +67,6 @@ impl NormalizedRows {
         NormalizedRows { unit, norms }
     }
 
-    /// Append one raw row, normalizing it exactly the way
-    /// [`NormalizedRows::from_matrix`] would have: the cached norm is the
-    /// row's L2 norm and a zero row is stored as-is with norm `0.0`.
-    ///
-    /// # Errors
-    /// Returns [`crate::error::LinalgError::ShapeMismatch`] if `row.len()`
-    /// differs from [`NormalizedRows::dim`].
-    pub fn push(&mut self, row: &[f32]) -> Result<(), crate::error::LinalgError> {
-        let mut unit_row = row.to_vec();
-        let n = l2_norm(&unit_row);
-        if n > 0.0 {
-            scale(&mut unit_row, 1.0 / n);
-        }
-        self.unit.push_row(&unit_row)?;
-        self.norms.push(n);
-        Ok(())
-    }
-
     /// Number of rows.
     #[inline]
     pub fn len(&self) -> usize {
@@ -205,7 +187,7 @@ fn upper_tile_count(n: usize) -> u64 {
 /// One-lock-per-call metrics batch for a Gram kernel invocation — the
 /// counters are aggregated outside the hot tile loops so instrumentation
 /// cost stays O(1) per call, not O(tiles).
-fn record_gram_metrics(prefix: &str, rows: usize, tiles: u64) {
+pub(crate) fn record_gram_metrics(prefix: &str, rows: usize, tiles: u64) {
     let obs = soulmate_obs::global();
     obs.incr(&format!("{prefix}.calls"), 1);
     obs.incr(&format!("{prefix}.rows"), rows as u64);
@@ -278,58 +260,6 @@ pub fn gram_rect_blocked(a: &Matrix, b: &Matrix) -> Vec<Vec<f32>> {
     }
     record_gram_metrics(
         "kernels.gram_rect",
-        na,
-        (na.div_ceil(TILE) * nb.div_ceil(TILE)) as u64,
-    );
-    out
-}
-
-/// Rectangular Gram against a row subset:
-/// `out[i][j] = dot(a_i, b.row(rows[j]))`.
-///
-/// Bit-identical to gathering `rows` into a dense submatrix and calling
-/// [`gram_rect_blocked`] — each entry is the same [`dot`] over the same
-/// two row slices — but skips the gather copy, which for a serving-path
-/// candidate set is pure overhead: the submatrix would be read exactly
-/// once.
-///
-/// # Panics
-/// Panics in debug builds when the column counts differ or a row id is
-/// out of range; release builds treat `rows` as trusted (the caller
-/// validates ids against `b`).
-pub fn gram_rect_rows_blocked(a: &Matrix, b: &Matrix, rows: &[u32]) -> Vec<Vec<f32>> {
-    debug_assert_eq!(a.cols(), b.cols(), "gram_rect_rows_blocked: dim mismatch");
-    debug_assert!(
-        // u32 widens losslessly into usize on every supported target.
-        rows.iter().all(|&r| (r as usize) < b.rows()),
-        "gram_rect_rows_blocked: row id out of range"
-    );
-    let (na, nb) = (a.rows(), rows.len());
-    let mut out: Vec<Vec<f32>> = (0..na).map(|_| vec![0.0f32; nb]).collect();
-    let mut i0 = 0;
-    while i0 < na {
-        let i1 = (i0 + TILE).min(na);
-        let mut j0 = 0;
-        while j0 < nb {
-            let j1 = (j0 + TILE).min(nb);
-            for i in i0..i1 {
-                let ai = a.row(i);
-                let row = &mut out[i];
-                for j in j0..j1 {
-                    // u32 widens losslessly into usize on every supported
-                    // target.
-                    row[j] = dot(ai, b.row(rows[j] as usize));
-                }
-            }
-            j0 = j1;
-        }
-        i0 = i1;
-    }
-    record_gram_metrics(
-        // Distinct from `kernels.gram_rect` so the serving path's
-        // stage-2 candidate re-rank stays separately observable in
-        // /metrics.
-        "kernels.gram_rect_rows",
         na,
         (na.div_ceil(TILE) * nb.div_ceil(TILE)) as u64,
     );
@@ -563,11 +493,6 @@ mod tests {
         let rect_before = obs.counter("kernels.gram_rect.tiles");
         let _ = gram_rect_blocked(&m, &m);
         assert!(obs.counter("kernels.gram_rect.tiles") >= rect_before + 9);
-        // The row-subset kernel records under its own name, so the
-        // serving path's stage-2 cost never blends into gram_rect.
-        let rows_before = obs.counter("kernels.gram_rect_rows.calls");
-        let _ = gram_rect_rows_blocked(&m, &m, &[0, 64, 129]);
-        assert!(obs.counter("kernels.gram_rect_rows.calls") >= rows_before + 1);
     }
 
     #[test]
@@ -583,29 +508,6 @@ mod tests {
                 assert!((g[i][j] - want).abs() <= 1e-4 * (1.0 + want.abs()));
             }
         }
-    }
-
-    #[test]
-    fn gram_rect_rows_is_bit_identical_to_gather_then_gram() {
-        let a = random_matrix(70, 9, 3);
-        let b = random_matrix(130, 9, 4);
-        // Unsorted and duplicated ids both allowed: the kernel reads rows
-        // positionally, it never assumes a set.
-        let rows: Vec<u32> = vec![129, 0, 64, 64, 13, 127, 1, 63];
-        let got = gram_rect_rows_blocked(&a, &b, &rows);
-        let gathered: Vec<Vec<f32>> = rows.iter().map(|&r| b.row(r as usize).to_vec()).collect();
-        let gathered = Matrix::from_rows(&gathered).unwrap();
-        let want = gram_rect_blocked(&a, &gathered);
-        // Bitwise equality, not tolerance: the selling point is that the
-        // gather can be deleted without perturbing a single score.
-        for (gr, wr) in got.iter().zip(&want) {
-            for (g, w) in gr.iter().zip(wr) {
-                assert_eq!(g.to_bits(), w.to_bits());
-            }
-        }
-        assert!(gram_rect_rows_blocked(&a, &b, &[])
-            .iter()
-            .all(Vec::is_empty));
     }
 
     #[test]

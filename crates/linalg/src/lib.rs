@@ -19,6 +19,7 @@
 // iterator rewrites obscure those invariants.
 #![allow(clippy::needless_range_loop)]
 
+pub mod chunked;
 pub mod error;
 pub mod kernels;
 pub mod matrix;
@@ -27,10 +28,11 @@ pub mod sparse;
 pub mod svd;
 pub mod vector;
 
+pub use chunked::{ChunkedRows, RowSource};
 pub use error::LinalgError;
 pub use kernels::{
     dot_i8, gram_blocked, gram_blocked_par, gram_rect_blocked, gram_rect_i8_blocked,
-    gram_rect_rows_blocked, top1_cosine_batch, NormalizedRows, TILE,
+    top1_cosine_batch, NormalizedRows, TILE,
 };
 pub use matrix::Matrix;
 pub use quant::{CenteredQuantizedRows, QuantizedRows, QUANT_MAX};

@@ -65,22 +65,6 @@ impl Matrix {
         })
     }
 
-    /// Append one row to the bottom of the matrix.
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::ShapeMismatch`] if `row.len() != self.cols()`.
-    pub fn push_row(&mut self, row: &[f32]) -> Result<(), LinalgError> {
-        if row.len() != self.cols {
-            return Err(LinalgError::ShapeMismatch(
-                format!("row of {}", self.cols),
-                format!("row of {}", row.len()),
-            ));
-        }
-        self.data.extend_from_slice(row);
-        self.rows += 1;
-        Ok(())
-    }
-
     /// Uniform random matrix in `[-bound, bound]` — the classic word2vec
     /// initialization uses `bound = 0.5 / dim`.
     pub fn random_uniform<R: Rng>(rows: usize, cols: usize, bound: f32, rng: &mut R) -> Self {

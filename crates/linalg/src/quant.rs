@@ -24,6 +24,7 @@
 //! affects *which* candidates are considered, never the score of a
 //! reported candidate.
 
+use crate::chunked::RowSource;
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
 use crate::vector::l2_norm;
@@ -32,6 +33,25 @@ use crate::vector::l2_norm;
 /// (`-128` is never produced, keeping the range symmetric so negating a
 /// row negates its quantization exactly).
 pub const QUANT_MAX: f32 = 127.0;
+
+/// Append `row`'s i8 codes to `data` and return its dequantization scale.
+fn quantize_row(row: &[f32], data: &mut Vec<i8>) -> f32 {
+    let max_abs = row.iter().fold(0.0f32, |acc, &v| acc.max(v.abs()));
+    // A zero row quantizes to zero bytes with scale 0.0 — dequantization
+    // reproduces it exactly.
+    if max_abs == 0.0 {
+        data.extend(std::iter::repeat_n(0i8, row.len()));
+        return 0.0;
+    }
+    let inv = QUANT_MAX / max_abs;
+    for &v in row {
+        let q = (v * inv).round().clamp(-QUANT_MAX, QUANT_MAX);
+        // q is rounded and clamped to [-127.0, 127.0], so the cast to i8
+        // is exact and never truncates.
+        data.push(q as i8);
+    }
+    max_abs / QUANT_MAX
+}
 
 /// A row-major matrix of per-row scalar-quantized i8 values with cached
 /// dequantization scales and exact original-row norms.
@@ -49,30 +69,15 @@ impl QuantizedRows {
     ///
     /// Deterministic: identical inputs yield identical bytes, scales and
     /// norms.
-    pub fn quantize(m: &Matrix) -> QuantizedRows {
+    pub fn quantize<R: RowSource + ?Sized>(m: &R) -> QuantizedRows {
         let (rows, cols) = (m.rows(), m.cols());
         let mut data = Vec::with_capacity(rows * cols);
         let mut scales = Vec::with_capacity(rows);
         let mut norms = Vec::with_capacity(rows);
-        for row in m.iter_rows() {
+        for i in 0..rows {
+            let row = m.row(i);
             norms.push(l2_norm(row));
-            let max_abs = row.iter().fold(0.0f32, |acc, &v| acc.max(v.abs()));
-            // A zero (or all-non-finite-free zero) row quantizes to zero
-            // bytes with scale 0.0 — dequantization reproduces it exactly.
-            if max_abs == 0.0 {
-                scales.push(0.0);
-                data.extend(std::iter::repeat_n(0i8, cols));
-                continue;
-            }
-            let scale = max_abs / QUANT_MAX;
-            let inv = QUANT_MAX / max_abs;
-            scales.push(scale);
-            for &v in row {
-                let q = (v * inv).round().clamp(-QUANT_MAX, QUANT_MAX);
-                // q is rounded and clamped to [-127.0, 127.0], so the
-                // cast to i8 is exact and never truncates.
-                data.push(q as i8);
-            }
+            scales.push(quantize_row(row, &mut data));
         }
         QuantizedRows {
             rows,
@@ -238,12 +243,14 @@ pub struct CenteredQuantizedRows {
 
 impl CenteredQuantizedRows {
     /// Center `m` by its column-wise mean row and quantize the residuals.
-    pub fn quantize(m: &Matrix) -> CenteredQuantizedRows {
+    /// Each residual is formed in one reused scratch row, so no centered
+    /// copy of `m` is ever held.
+    pub fn quantize<R: RowSource + ?Sized>(m: &R) -> CenteredQuantizedRows {
         let (rows, cols) = (m.rows(), m.cols());
         let mut mean = vec![0.0f32; cols];
         if rows > 0 {
-            for row in m.iter_rows() {
-                for (acc, &v) in mean.iter_mut().zip(row) {
+            for i in 0..rows {
+                for (acc, &v) in mean.iter_mut().zip(m.row(i)) {
                     *acc += v;
                 }
             }
@@ -252,29 +259,29 @@ impl CenteredQuantizedRows {
                 *acc *= inv;
             }
         }
-        let mut residual = Matrix::zeros(rows, cols);
+        let mut data = Vec::with_capacity(rows * cols);
+        let mut scales = Vec::with_capacity(rows);
+        // The exact norms of the original rows, not of the residuals.
         let mut norms = Vec::with_capacity(rows);
+        let mut residual = vec![0.0f32; cols];
         for i in 0..rows {
-            norms.push(l2_norm(m.row(i)));
-            let dst = residual.row_mut(i);
-            for ((d, &v), &mu) in dst.iter_mut().zip(m.row(i)).zip(&mean) {
+            let row = m.row(i);
+            norms.push(l2_norm(row));
+            for ((d, &v), &mu) in residual.iter_mut().zip(row).zip(&mean) {
                 *d = v - mu;
             }
+            scales.push(quantize_row(&residual, &mut data));
         }
-        let q = QuantizedRows::quantize(&residual);
-        // Swap the residual norms for the exact original-row norms; the
-        // shapes are identical by construction, so from_parts cannot fail
-        // (norms are finite: l2_norm of finite rows, and a non-finite
-        // input row would already have poisoned the residual scales).
-        let rows_q = QuantizedRows::from_parts(
-            q.rows(),
-            q.cols(),
-            q.as_bytes().to_vec(),
-            q.scales().to_vec(),
-            norms,
-        )
-        .unwrap_or(q);
-        CenteredQuantizedRows { mean, rows: rows_q }
+        CenteredQuantizedRows {
+            mean,
+            rows: QuantizedRows {
+                rows,
+                cols,
+                data,
+                scales,
+                norms,
+            },
+        }
     }
 
     /// Rebuild from raw parts (the binary snapshot reader's entry point).

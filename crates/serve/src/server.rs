@@ -35,7 +35,8 @@ use crate::http::{read_request, write_response, HttpError, Request};
 use crate::protocol;
 use soulmate_core::{EngineCell, RefitManager};
 use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::Read;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -399,6 +400,19 @@ fn reject_overloaded(mut stream: TcpStream) {
         &protocol::error_body("overloaded", "accept queue is full; retry"),
     )
     .ok();
+    // Closing a socket with unread input answers with a reset, which can
+    // destroy the 503 before the client reads it. Half-close, then
+    // discard what the client already sent, without waiting for more;
+    // bounded, so a client that keeps sending cannot hold the accept
+    // loop.
+    stream.shutdown(Shutdown::Write).ok();
+    stream.set_nonblocking(true).ok();
+    let mut sink = [0u8; 4096];
+    for _ in 0..16 {
+        if !matches!(stream.read(&mut sink), Ok(n) if n > 0) {
+            break;
+        }
+    }
 }
 
 /// Serve one connection end to end. Every failure path writes an HTTP

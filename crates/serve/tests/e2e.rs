@@ -536,6 +536,72 @@ fn shutdown_drains_in_flight_requests() {
     });
 }
 
+/// The backlog window of a shutdown: queries that connected before the
+/// `POST /shutdown` was read, but still wait in the accept queue behind
+/// the one busy worker, are each answered — 200 for the queued ones, 503
+/// for those the full queue shed at the door — and never reset.
+#[test]
+fn shutdown_answers_queries_queued_behind_it() {
+    let (dataset, snapshot) = fixture();
+    let cell = cell(&snapshot, EngineMode::Exact);
+    let line = query_line(&author_tweets(&dataset, 1, 6));
+    const QUEUE: usize = 3;
+    let config = ServeConfig {
+        threads: 1,
+        queue_depth: QUEUE,
+        ..ServeConfig::default()
+    };
+    std::thread::scope(|scope| {
+        let (tx, rx) = mpsc::channel();
+        let cell_ref = &cell;
+        let server =
+            scope.spawn(move || serve(cell_ref, &config, move |addr| tx.send(addr).unwrap()));
+        let addr = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+
+        // The worker takes this connection first and blocks reading it
+        // until the shutdown request is written below.
+        let mut shut = TcpStream::connect(addr).unwrap();
+        shut.set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        std::thread::sleep(Duration::from_millis(200));
+        // Meanwhile the queries connect and send: QUEUE of them wait in
+        // the queue, the rest are shed when it is full.
+        let links: Vec<TcpStream> = (0..QUEUE + 2)
+            .map(|_| send_request(addr, "POST", "/link", &line))
+            .collect();
+        std::thread::sleep(Duration::from_millis(200));
+        shut.write_all(b"POST /shutdown HTTP/1.1\r\nHost: test\r\nContent-Length: 0\r\n\r\n")
+            .unwrap();
+        let mut raw = String::new();
+        shut.read_to_string(&mut raw).unwrap();
+        assert_eq!(parse_response(&raw).0, 202);
+
+        // A reset fails `read_to_string`; a silent close fails the parse.
+        let statuses: Vec<u16> = links
+            .into_iter()
+            .map(|mut stream| {
+                let mut raw = String::new();
+                stream.read_to_string(&mut raw).unwrap();
+                parse_response(&raw).0
+            })
+            .collect();
+        assert!(
+            statuses.iter().all(|&s| s == 200 || s == 503),
+            "{statuses:?}"
+        );
+        assert_eq!(
+            statuses.iter().filter(|&&s| s == 200).count(),
+            QUEUE,
+            "{statuses:?}"
+        );
+
+        server
+            .join()
+            .expect("server thread panicked")
+            .expect("serve returned an error");
+    });
+}
+
 /// NDJSON `/ingest` request line for one new author.
 fn ingest_line(handle: &str, tweets: &[(Timestamp, String)]) -> String {
     let pairs: Vec<String> = tweets
