@@ -24,14 +24,16 @@
 //!   makes redundant.
 //!
 //! The served answers are **identical** to the legacy path, bit for bit:
-//! both compute the similarity row through the same
-//! [`crate::online::vectorize_query`] / unit-row dot /
-//! [`crate::online::fused_row_from_dots`] sequence, and the pop loop is
-//! Kruskal's algorithm under the strict total order [`stack_pop_order`],
-//! so it selects the same edges over any edge set that contains the
-//! extended graph's unique maximum spanning forest — which the merged
-//! backbone does (DESIGN.md §10). The displacement logic in
-//! [`CachedCut::cut_with_query`] reproduces exactly which base edges
+//! both compute the similarity row through the same `vectorize_query` /
+//! unit-row dot / `fused_row_from_dots` sequence (in `online`), and the
+//! pop loop is Kruskal's algorithm under the strict total order
+//! [`stack_pop_order`], so it selects the same edges over any edge set
+//! that contains the extended graph's unique maximum spanning forest —
+//! which the merged backbone does (DESIGN.md §10). One edit routine
+//! serves both query row shapes — a dense row
+//! ([`CachedCut::cut_with_query_component`]) and a candidate list
+//! ([`CachedCut::cut_with_candidates_component`]) — and every insert:
+//! its displacement logic reproduces exactly which base edges
 //! `WeightedGraph::from_similarity` would *drop* when the query pushes a
 //! node's weakest top-k lifeline out of its ranking.
 
@@ -43,8 +45,7 @@ use crate::pipeline::Pipeline;
 use crate::snapshot::PipelineSnapshot;
 use soulmate_corpus::Timestamp;
 use soulmate_graph::{
-    stack_pop_order, swmst_from_sorted, swmst_from_sorted_with_component, Edge, GraphError,
-    SpanningForest, UnionFind,
+    stack_pop_order, swmst_from_sorted_with_component, Edge, GraphError, SpanningForest, UnionFind,
 };
 use soulmate_linalg::kernels::gram_rect_i8_blocked;
 use soulmate_linalg::{
@@ -83,6 +84,13 @@ impl TopKCache {
             kth_sim,
         }
     }
+
+    /// The ranked top-`top_k` prefix of a node's `(neighbour, similarity)`
+    /// row (`top_k > 0`).
+    fn ranked(row: Vec<(usize, f32)>, top_k: usize) -> TopKCache {
+        let (prefix, sims) = top_k_ranked(row, top_k).into_iter().unzip();
+        TopKCache::new(prefix, sims, top_k)
+    }
 }
 
 /// Nodes whose rank-k similarity is negative NaN (see
@@ -116,8 +124,8 @@ type QueryEdit = (HashSet<(usize, usize)>, Vec<Edge>);
 /// edge that fails the threshold (kept only as a top-k lifeline) — sorted
 /// in SW-MST pop order, plus each node's top-k ranking prefix. That is at
 /// most `(n−1) + n·k` edges instead of the graph's `O(n²)`. Given a
-/// query's similarity row, [`CachedCut::cut_with_query`] produces the same
-/// [`SpanningForest`] as rebuilding + re-sorting the extended `(n+1)²`
+/// query's similarity row, [`CachedCut::cut_with_query_component`]
+/// produces the same [`SpanningForest`] as rebuilding + re-sorting the extended `(n+1)²`
 /// graph, in `O(n log n + n·k)` instead of `O(n² + E log E)`; DESIGN.md
 /// §10 proves the backbone suffices.
 ///
@@ -148,10 +156,6 @@ impl CachedCut {
     ///
     /// # Errors
     /// [`CoreError::Graph`] when `sim` is ragged.
-    // Indexing is in-bounds by construction: every row is verified to
-    // have length n before any index below runs, and `neighbours` holds
-    // indices < n.
-    #[allow(clippy::indexing_slicing)]
     pub fn new(
         sim: &[Vec<f32>],
         min_similarity: f32,
@@ -165,24 +169,15 @@ impl CachedCut {
             }
             .into());
         }
-        let mut topk = Vec::new();
-        if top_k > 0 {
-            topk.reserve(n);
-            for i in 0..n {
-                let mut neighbours: Vec<usize> = (0..n).filter(|&j| j != i).collect();
-                // Must mirror `from_similarity` exactly: similarity
-                // descending under the total order, ties by ascending
-                // index — the same ranking its stable sort produces, but
-                // the tie-break makes keys unique, so selecting the top-k
-                // partition and sorting only that prefix replaces the
-                // O(n log n) full row sort with O(n + k log k).
-                let cmp = |&a: &usize, &b: &usize| sim[i][b].total_cmp(&sim[i][a]).then(a.cmp(&b));
-                select_top_k(&mut neighbours, top_k, cmp);
-                neighbours.sort_by(cmp);
-                let sims = neighbours.iter().map(|&j| sim[i][j]).collect();
-                topk.push(TopKCache::new(neighbours, sims, top_k));
-            }
-        }
+        let topk: Vec<TopKCache> = if top_k > 0 {
+            let ranked = |(i, row): (usize, &Vec<f32>)| {
+                let others = row.iter().copied().enumerate().filter(|&(j, _)| j != i);
+                TopKCache::ranked(others.collect(), top_k)
+            };
+            sim.iter().enumerate().map(ranked).collect()
+        } else {
+            Vec::new()
+        };
         let base_edges = backbone(sim, min_similarity, &topk);
         Ok(CachedCut {
             n,
@@ -302,7 +297,7 @@ impl CachedCut {
                 return schema(format!("top-k prefix of node {node} repeats an id"));
             }
             let in_order = ids.windows(2).zip(sims.windows(2)).all(|pair| match pair {
-                ([a, b], [sa, sb]) => sb.total_cmp(sa).then(a.cmp(b)) == Ordering::Less,
+                ([a, b], [sa, sb]) => rank_order(&(*a, *sa), &(*b, *sb)) == Ordering::Less,
                 _ => true,
             });
             if !in_order {
@@ -367,7 +362,10 @@ impl CachedCut {
 
     /// Cut the graph extended by one query node whose similarity row is
     /// `sims` — equivalent to `from_similarity` + full sort + SW-MST over
-    /// the `(n+1)²` matrix, without materializing it.
+    /// the `(n+1)²` matrix, without materializing it — and return the
+    /// forest together with the component containing the query node,
+    /// taken from the SW-MST pass itself instead of a second union-find
+    /// sweep over the selected edges.
     ///
     /// The query node's index in the returned forest is `n_authors()`.
     ///
@@ -375,214 +373,35 @@ impl CachedCut {
     /// [`CoreError::Invalid`] when `sims.len() != self.n_authors()` —
     /// a mis-sized row would silently link the wrong authors, so it is
     /// rejected (not panicked on) before any index is touched.
-    pub fn cut_with_query(&self, sims: &[f32]) -> Result<SpanningForest, CoreError> {
-        let (removed, q_edges) = self.query_edit_dense(sims)?;
-        Ok(swmst_from_sorted(
-            self.n + 1,
-            self.merged_iter(removed, q_edges),
-        ))
-    }
-
-    /// [`CachedCut::cut_with_query`] fused with the query-subgraph lookup:
-    /// returns the forest *and* the component containing the query node,
-    /// extracted from the SW-MST pass itself instead of a second
-    /// union-find sweep over the selected edges.
-    ///
-    /// # Errors
-    /// Same conditions as [`CachedCut::cut_with_query`].
     pub fn cut_with_query_component(
         &self,
         sims: &[f32],
     ) -> Result<(SpanningForest, Vec<usize>), CoreError> {
-        let (removed, q_edges) = self.query_edit_dense(sims)?;
-        let (forest, component) = swmst_from_sorted_with_component(
-            self.n + 1,
-            self.merged_iter(removed, q_edges),
-            self.n,
-        );
-        let component = component.ok_or(CoreError::Internal("query node exists in forest"))?;
-        Ok((forest, component))
+        self.cut(self.dense_edit(sims)?)
     }
 
-    /// The query's edit to the cached base graph: the base edges its
-    /// arrival removes and the query edges it adds, computed from a dense
-    /// similarity row (steps 1–2 of the merge derivation in DESIGN.md §10).
-    // With the length check done, every index below is < n (`sims`, `topk`,
-    // `q_keep` all have exactly n entries; `prefix` holds node ids < n).
-    #[allow(clippy::indexing_slicing)]
-    fn query_edit_dense(&self, sims: &[f32]) -> Result<QueryEdit, CoreError> {
-        if sims.len() != self.n {
-            return Err(CoreError::Invalid(format!(
-                "similarity row length {} != author count {}",
-                sims.len(),
-                self.n
-            )));
-        }
-        let n = self.n;
-        let k = self.top_k;
-
-        // 1. Base edges the query *removes*: when the query enters node
-        //    i's top-k ranking, i's old rank-k neighbour b falls out, and
-        //    the edge (i, b) dies unless the threshold or b's own top-k
-        //    still holds it.
-        let mut removed: HashSet<(usize, usize)> = HashSet::new();
-        if k > 0 {
-            for i in 0..n {
-                let Some(kth) = self.topk[i].kth_sim else {
-                    continue; // fewer than k neighbours: nothing falls out
-                };
-                if sims[i].total_cmp(&kth) != Ordering::Greater {
-                    continue; // query does not enter i's top-k
-                }
-                let b = self.topk[i].prefix[k - 1];
-                if kth >= self.min_sim {
-                    continue; // edge survives on the threshold rule
-                }
-                // Is i still in b's top-k once the query is present?
-                let retained = match self.topk[b].prefix.iter().position(|&x| x == i) {
-                    Some(r) if r < k - 1 => true,
-                    Some(r) if r == k - 1 => !self.query_enters_topk(b, sims[b]),
-                    _ => false,
-                };
-                if !retained {
-                    removed.insert((i.min(b), i.max(b)));
-                }
-            }
-        }
-
-        // 2. Query edges, by the same threshold / top-k / finiteness rules
-        //    `from_similarity` applies to the extended matrix.
-        let mut q_keep = vec![false; n];
-        for i in 0..n {
-            if sims[i] >= self.min_sim {
-                q_keep[i] = true;
-            }
-        }
-        if k > 0 {
-            for i in 0..n {
-                if self.query_enters_topk(i, sims[i]) {
-                    q_keep[i] = true;
-                }
-            }
-            // The query's own top-k lifelines: the first k under (score
-            // desc, index asc) — the stable descending sort's order, whose
-            // top-k set a tie-broken selection picks without sorting.
-            let mut ranked: Vec<usize> = (0..n).collect();
-            select_top_k(&mut ranked, k, |&a, &b| {
-                sims[b].total_cmp(&sims[a]).then(a.cmp(&b))
-            });
-            for &i in &ranked {
-                q_keep[i] = true;
-            }
-        }
-        let mut q_edges: Vec<Edge> = (0..n)
-            .filter(|&i| q_keep[i] && sims[i].is_finite())
-            .map(|i| Edge {
-                u: i,
-                v: n,
-                w: sims[i],
-            })
-            .collect();
-        // Every query edge ends at node n, so the keys are unique and an
-        // unstable sort gives the stable sort's order.
-        q_edges.sort_unstable_by(stack_pop_order);
-        Ok((removed, q_edges))
-    }
-
-    /// Step 3 of the merge derivation for a query: the surviving backbone
-    /// edges and the query edges interleaved by [`merge_edit`], with the
-    /// per-query merge counters recorded. Lazy on purpose — the SW-MST pop
-    /// loop terminates at full node coverage, so the weak tail is never
-    /// touched, and no merged edge list is materialized per query.
-    fn merged_iter(
-        &self,
-        removed: HashSet<(usize, usize)>,
-        q_edges: Vec<Edge>,
-    ) -> impl Iterator<Item = Edge> + '_ {
-        let obs = soulmate_obs::global();
-        // A removed pair is some node's cached rank-k edge that fails the
-        // threshold, which the backbone stores as a lifeline unless its
-        // weight was non-finite — so this count is exact for finite
-        // matrices and an undercount only in the NaN-weight corner, without
-        // consuming the lazy iterator.
-        obs.incr(
-            "engine.edges_merged",
-            ((self.base_edges.len() + q_edges.len()).saturating_sub(removed.len())) as u64,
-        );
-        obs.incr("engine.topk_displaced", removed.len() as u64);
-        merge_edit(&self.base_edges, removed, q_edges)
-    }
-
-    /// [`CachedCut::cut_with_query`] for a *sparse* similarity row: only
-    /// the authors in `candidates` (ascending ids) carry a score, given in
+    /// [`CachedCut::cut_with_query_component`] for a *sparse* similarity
+    /// row: only the authors in `candidates` carry a score, given in
     /// `cand_sims` index-aligned with `candidates`. Every other author is
     /// treated as having similarity `-inf` to the query — it can never
     /// clear the threshold, never enter a top-k ranking and never receive
     /// a query edge (non-finite weights are dropped), which is exactly the
-    /// contract the IVF retrieval path wants for non-candidates.
+    /// contract the retrieval paths want for non-candidates.
     ///
-    /// Passing every author id reproduces
-    /// [`CachedCut::cut_with_query`] bit for bit (the scattered row *is*
-    /// the dense row) — that equivalence is what the `nprobe ==
-    /// n_centroids` parity tests pin down.
+    /// Passing every author id reproduces the dense cut bit for bit — the
+    /// `nprobe == n_centroids` parity tests pin that down. Strictly
+    /// ascending ids, which both retrievers emit, cost time in proportion
+    /// to the candidate count; unsorted or duplicated ids (last write
+    /// wins) are scattered into a dense row first.
     ///
     /// # Errors
     /// [`CoreError::Invalid`] when the two slices disagree in length or a
     /// candidate id is out of range.
-    pub fn cut_with_candidates(
-        &self,
-        candidates: &[u32],
-        cand_sims: &[f32],
-    ) -> Result<SpanningForest, CoreError> {
-        let (removed, q_edges) = self.query_edit_candidates(candidates, cand_sims)?;
-        Ok(swmst_from_sorted(
-            self.n + 1,
-            self.merged_iter(removed, q_edges),
-        ))
-    }
-
-    /// [`CachedCut::cut_with_candidates`] fused with the query-subgraph
-    /// lookup, mirroring [`CachedCut::cut_with_query_component`].
-    ///
-    /// # Errors
-    /// Same conditions as [`CachedCut::cut_with_candidates`].
     pub fn cut_with_candidates_component(
         &self,
         candidates: &[u32],
         cand_sims: &[f32],
     ) -> Result<(SpanningForest, Vec<usize>), CoreError> {
-        let (removed, q_edges) = self.query_edit_candidates(candidates, cand_sims)?;
-        let (forest, component) = swmst_from_sorted_with_component(
-            self.n + 1,
-            self.merged_iter(removed, q_edges),
-            self.n,
-        );
-        let component = component.ok_or(CoreError::Internal("query node exists in forest"))?;
-        Ok((forest, component))
-    }
-
-    /// The query's edit to the base graph from a *sparse* similarity row,
-    /// touching only the candidate set instead of scattering into a dense
-    /// length-n row. Bit-identical to scattering `-inf` non-candidates
-    /// through [`CachedCut::query_edit_dense`] because a `-inf` score
-    /// never clears the threshold, never ranks strictly above a node's
-    /// finite rank-k similarity (the negative-NaN exceptions are
-    /// precomputed in `neg_nan_kth` and visited explicitly), and any query
-    /// edge it could still earn carries a non-finite weight, which the
-    /// edge filter drops.
-    ///
-    /// Callers with unsorted or duplicated candidate ids (allowed by the
-    /// public contract, last write wins) take the dense scatter path; the
-    /// retrieval probe always emits strictly ascending ids.
-    // After the range validation every candidate id is < n, so `topk`,
-    // `prefix` (node ids < n) and the position-aligned `keep`/`cand_sims`
-    // indexing below are in-bounds.
-    #[allow(clippy::indexing_slicing)]
-    fn query_edit_candidates(
-        &self,
-        candidates: &[u32],
-        cand_sims: &[f32],
-    ) -> Result<QueryEdit, CoreError> {
         if candidates.len() != cand_sims.len() {
             return Err(CoreError::Invalid(format!(
                 "{} candidate ids but {} scores",
@@ -597,117 +416,152 @@ impl CachedCut {
                 self.n
             )));
         }
-        let ascending = candidates.windows(2).all(|w| w[0] < w[1]);
-        // u32::MAX widens losslessly into usize on every supported target.
-        if !ascending || self.n > u32::MAX as usize {
-            // Arbitrary caller input (or node ids beyond u32): scatter into
-            // the dense row and reuse the reference path unchanged.
+        if !candidates.windows(2).all(|w| matches!(w, [a, b] if a < b)) {
             let mut sims = vec![f32::NEG_INFINITY; self.n];
             for (&id, &s) in candidates.iter().zip(cand_sims) {
-                // Validated above: id < n, so the index is in-bounds.
-                sims[id as usize] = s;
+                // Same lossless u32 -> usize widening as above.
+                if let Some(slot) = sims.get_mut(id as usize) {
+                    *slot = s;
+                }
             }
-            return self.query_edit_dense(&sims);
+            return self.cut_with_query_component(&sims);
         }
+        let scored = candidates
+            .iter()
+            // Same lossless u32 -> usize widening as above.
+            .map(|&id| id as usize)
+            .zip(cand_sims.iter().copied());
+        let score_of = |node: usize| {
+            let id = u32::try_from(node).ok()?;
+            cand_sims.get(candidates.binary_search(&id).ok()?).copied()
+        };
+        self.cut(self.query_edit(scored, score_of))
+    }
 
+    /// [`CachedCut::query_edit`] over a dense similarity row.
+    ///
+    /// # Errors
+    /// [`CoreError::Invalid`] when `sims` is not length `n`.
+    fn dense_edit(&self, sims: &[f32]) -> Result<QueryEdit, CoreError> {
+        if sims.len() != self.n {
+            return Err(CoreError::Invalid(format!(
+                "similarity row length {} != author count {}",
+                sims.len(),
+                self.n
+            )));
+        }
+        Ok(self.query_edit(sims.iter().copied().enumerate(), |i| sims.get(i).copied()))
+    }
+
+    /// The query's edit to the cached base graph: the base edges its
+    /// arrival removes and the query edges it adds (steps 1–2 of the merge
+    /// derivation in DESIGN.md §10). The one routine behind dense queries,
+    /// candidate queries and inserts.
+    ///
+    /// `scored` yields the nodes that carry a score, as `(id, similarity)`
+    /// in ascending id order, and `score_of` looks a node's score up. A
+    /// node without one (`None`) stands for similarity `-inf`: it never
+    /// clears the threshold, never ranks strictly above a finite rank-k
+    /// similarity, and any query edge it could earn has a non-finite
+    /// weight, which the edge filter drops. So the edit visits only the
+    /// scored nodes, plus the unscored `neg_nan_kth` nodes, where `-inf`
+    /// still wins the comparison; its cost follows the scored count, not n.
+    // Every id below is < n (`scored` and `neg_nan_kth` hold node ids,
+    // prefixes hold node ids < n) and `topk` has n entries.
+    #[allow(clippy::indexing_slicing)]
+    fn query_edit(
+        &self,
+        scored: impl Iterator<Item = (usize, f32)> + Clone,
+        score_of: impl Fn(usize) -> Option<f32>,
+    ) -> QueryEdit {
         let k = self.top_k;
-        // A node's score under the scattered row: its candidate score, or
-        // the implicit -inf. Ids are strictly ascending, so binary search.
-        let sim_of = |node: usize| -> f32 {
-            // node < n <= u32::MAX by the guard above, so the cast is
-            // value-preserving.
-            match candidates.binary_search(&(node as u32)) {
-                Ok(pos) => cand_sims[pos],
-                Err(_) => f32::NEG_INFINITY,
-            }
-        };
-
-        // Step 1 — removals. Only nodes whose score ranks strictly above
-        // their cached rank-k similarity can displace a base edge: every
-        // candidate, plus the (pathological) negative-NaN-kth nodes whose
-        // implicit -inf still wins the total-order comparison.
         let mut removed: HashSet<(usize, usize)> = HashSet::new();
-        let removal_check = |i: usize, score: f32, removed: &mut HashSet<(usize, usize)>| {
-            let Some(kth) = self.topk[i].kth_sim else {
-                return; // fewer than k neighbours: nothing falls out
-            };
-            if score.total_cmp(&kth) != Ordering::Greater {
-                return; // query does not enter i's top-k
-            }
-            let b = self.topk[i].prefix[k - 1];
-            if kth >= self.min_sim {
-                return; // edge survives on the threshold rule
-            }
-            let retained = match self.topk[b].prefix.iter().position(|&x| x == i) {
-                Some(r) if r < k - 1 => true,
-                Some(r) if r == k - 1 => !self.query_enters_topk(b, sim_of(b)),
-                _ => false,
-            };
-            if !retained {
-                removed.insert((i.min(b), i.max(b)));
-            }
-        };
+        let mut lifelines = Vec::new();
         if k > 0 {
-            for (pos, &id) in candidates.iter().enumerate() {
-                // u32 widens losslessly into usize on supported targets.
-                removal_check(id as usize, cand_sims[pos], &mut removed);
-            }
-            for &i in &self.neg_nan_kth {
-                // Candidates were already visited with their real score.
-                // i < n <= u32::MAX: value-preserving cast.
-                if candidates.binary_search(&(i as u32)).is_err() {
-                    removal_check(i, f32::NEG_INFINITY, &mut removed);
+            // 1. Base edges the query *removes*: when the query enters
+            //    node i's top-k ranking, i's old rank-k neighbour b falls
+            //    out, and the edge (i, b) dies unless the threshold or b's
+            //    own top-k still holds it.
+            let unscored = self.neg_nan_kth.iter().filter(|&&i| score_of(i).is_none());
+            for (i, score) in scored
+                .clone()
+                .chain(unscored.map(|&i| (i, f32::NEG_INFINITY)))
+            {
+                let Some(kth) = self.topk[i].kth_sim else {
+                    continue; // fewer than k neighbours: nothing falls out
+                };
+                if !self.query_enters_topk(i, score) || kth >= self.min_sim {
+                    continue; // i's ranking holds, or the threshold keeps the edge
+                }
+                let b = self.topk[i].prefix[k - 1];
+                // Is i still in b's top-k once the query is present?
+                let retained = match self.topk[b].prefix.iter().position(|&x| x == i) {
+                    Some(r) if r < k - 1 => true,
+                    Some(r) if r == k - 1 => {
+                        let b_score = score_of(b).unwrap_or(f32::NEG_INFINITY);
+                        !self.query_enters_topk(b, b_score)
+                    }
+                    _ => false,
+                };
+                if !retained {
+                    removed.insert((i.min(b), i.max(b)));
                 }
             }
+            // The query's own top-k lifelines. Scores at or below -inf
+            // rank last and only earn non-finite edges, so ranking just
+            // the scores above it keeps the same finite lifelines.
+            let above =
+                |&(_, s): &(usize, f32)| s.total_cmp(&f32::NEG_INFINITY) == Ordering::Greater;
+            lifelines = top_k_ranked(scored.clone().filter(above).collect(), k);
         }
 
-        // Step 2 — query edges. Non-candidates can only earn non-finite
-        // edge weights (dropped by the filter below), so only candidate
-        // positions need the threshold / top-k / lifeline marks.
-        let mut keep = vec![false; candidates.len()];
-        for (pos, &s) in cand_sims.iter().enumerate() {
-            if s >= self.min_sim {
-                keep[pos] = true;
-            }
-        }
-        if k > 0 {
-            for (pos, &id) in candidates.iter().enumerate() {
-                // u32 widens losslessly into usize on supported targets.
-                if self.query_enters_topk(id as usize, cand_sims[pos]) {
-                    keep[pos] = true;
-                }
-            }
-            // The query's own top-k lifelines: in the dense ranking every
-            // score strictly above -inf precedes the -inf block, and ties
-            // inside it keep ascending id (stable sort over ascending
-            // ids), so the first min(k, |above|) of this ordering is
-            // exactly the dense take(k) restricted to scores that can
-            // yield finite edges.
-            let mut above: Vec<usize> = (0..candidates.len())
-                .filter(|&pos| cand_sims[pos].total_cmp(&f32::NEG_INFINITY) == Ordering::Greater)
-                .collect();
-            select_top_k(&mut above, k, |&a, &b| {
-                cand_sims[b].total_cmp(&cand_sims[a]).then(a.cmp(&b))
-            });
-            for &pos in &above {
-                keep[pos] = true;
-            }
-        }
-        let mut q_edges: Vec<Edge> = (0..candidates.len())
-            .filter(|&pos| keep[pos] && cand_sims[pos].is_finite())
-            .map(|pos| Edge {
-                // Validated above: candidate ids are < n.
-                u: candidates[pos] as usize,
-                v: self.n,
-                w: cand_sims[pos],
+        // 2. Query edges, by the same threshold / top-k / finiteness rules
+        //    `from_similarity` applies to the extended matrix.
+        let mut q_edges: Vec<Edge> = scored
+            .filter(|&(i, s)| {
+                clears_threshold(s, self.min_sim) || (k > 0 && self.query_enters_topk(i, s))
             })
+            .chain(lifelines)
+            .filter(|(_, s)| s.is_finite())
+            .map(|(u, w)| Edge { u, v: self.n, w })
             .collect();
+        // Every query edge ends at node n, so the keys are unique per
+        // node and an unstable sort gives the stable sort's order; a
+        // lifeline that also passed the filter sorts next to its copy.
         q_edges.sort_unstable_by(stack_pop_order);
-        Ok((removed, q_edges))
+        q_edges.dedup_by_key(|e| e.u);
+        (removed, q_edges)
+    }
+
+    /// Step 3 of the merge derivation for a query, and the SW-MST pop loop
+    /// over it: the surviving backbone edges and the query edges
+    /// interleaved by [`merge_edit`], with the per-query merge counters
+    /// recorded. The merge is lazy on purpose — the pop loop terminates at
+    /// full node coverage, so the weak tail is never touched, and no
+    /// merged edge list is materialized per query.
+    fn cut(
+        &self,
+        (removed, q_edges): QueryEdit,
+    ) -> Result<(SpanningForest, Vec<usize>), CoreError> {
+        let obs = soulmate_obs::global();
+        // A removed pair is some node's cached rank-k edge that fails the
+        // threshold, which the backbone stores as a lifeline unless its
+        // weight was non-finite — so this count is exact for finite
+        // matrices and an undercount only in the NaN-weight corner, without
+        // consuming the lazy iterator.
+        obs.incr(
+            "engine.edges_merged",
+            ((self.base_edges.len() + q_edges.len()).saturating_sub(removed.len())) as u64,
+        );
+        obs.incr("engine.topk_displaced", removed.len() as u64);
+        let merged = merge_edit(&self.base_edges, removed, q_edges);
+        let (forest, component) = swmst_from_sorted_with_component(self.n + 1, merged, self.n);
+        let component = component.ok_or(CoreError::Internal("query node exists in forest"))?;
+        Ok((forest, component))
     }
 
     /// Permanently admit one new author into the cached cut: the exact
-    /// edit [`CachedCut::cut_with_query`] computes *per query* — remove
+    /// edit a query's cut computes *per query* — remove
     /// the displaced base edges, merge in the new author's edges — applied
     /// in place, plus the top-k bookkeeping a transient query never needs
     /// (inserting the new index into each displaced node's ranking prefix
@@ -758,7 +612,7 @@ impl CachedCut {
         // Validates sims.len() == n and computes the graph edit under
         // exactly the rules `from_similarity` would apply to the grown
         // matrix — the same derivation the per-query path runs.
-        let (removed, q_edges) = self.query_edit_dense(sims)?;
+        let (removed, q_edges) = self.dense_edit(sims)?;
 
         // The merge contains the grown graph's maximum spanning forest
         // (DESIGN.md §10), so Kruskal over it — no early stop — selects
@@ -805,15 +659,10 @@ impl CachedCut {
                 cache.sims.truncate(k);
                 cache.kth_sim = cache.sims.get(k - 1).copied();
             }
-            // The new node's own prefix, built the way `CachedCut::new`
-            // builds every row: similarity descending, ties by ascending
-            // index (the new node's row is `sims` itself).
-            let mut neighbours: Vec<usize> = (0..n).collect();
-            let cmp = |&a: &usize, &b: &usize| sims[b].total_cmp(&sims[a]).then(a.cmp(&b));
-            select_top_k(&mut neighbours, k, cmp);
-            neighbours.sort_by(cmp);
-            let own_sims = neighbours.iter().map(|&j| sims[j]).collect();
-            self.topk.push(TopKCache::new(neighbours, own_sims, k));
+            // The new node's own prefix, ranked the way `CachedCut::new`
+            // ranks every row (the new node's row is `sims` itself).
+            let row = sims.iter().copied().enumerate().collect();
+            self.topk.push(TopKCache::ranked(row, k));
         }
 
         self.n = n + 1;
@@ -831,16 +680,26 @@ fn clears_threshold(w: f32, min_sim: f32) -> bool {
     w >= min_sim
 }
 
-/// Reduce `items` to its first `k` under the strict order `cmp`, in no
-/// particular order — an `O(len)` selection instead of a full sort, and
-/// the identical set because `cmp` has no ties.
-fn select_top_k<T>(items: &mut Vec<T>, k: usize, cmp: impl FnMut(&T, &T) -> Ordering) {
-    if items.len() > k {
+/// The ranking `from_similarity` gives a node's `(neighbour, similarity)`
+/// entries: similarity descending under the total order, ties by
+/// ascending id — the order its stable sort produces, made strict by the
+/// tie-break.
+fn rank_order(a: &(usize, f32), b: &(usize, f32)) -> Ordering {
+    b.1.total_cmp(&a.1).then(a.0.cmp(&b.0))
+}
+
+/// The first `k` entries of `row` under [`rank_order`], in rank order.
+/// The order is strict, so selecting the top-k partition and sorting only
+/// that prefix gives the full sort's prefix in `O(len + k log k)`.
+fn top_k_ranked(mut row: Vec<(usize, f32)>, k: usize) -> Vec<(usize, f32)> {
+    if row.len() > k {
         if let Some(kth) = k.checked_sub(1) {
-            items.select_nth_unstable_by(kth, cmp);
+            row.select_nth_unstable_by(kth, rank_order);
         }
-        items.truncate(k);
+        row.truncate(k);
     }
+    row.sort_unstable_by(rank_order);
+    row
 }
 
 /// Step 3 of the merge derivation, shared by queries and inserts: the
@@ -1268,18 +1127,10 @@ impl<'a> QueryEngine<'a> {
                 .zip(concept_dots.get(qi))
                 .ok_or(CoreError::Internal("one dot row per query"))?;
             let similarities = fused_row_from_dots(&self.model, content_row, concept_row);
-            let (forest, subgraph) = self.parts.cut.cut_with_query_component(&similarities)?;
-            let subgraph_avg_weight = forest.component_avg_weight(&subgraph);
+            let cut = self.parts.cut.cut_with_query_component(&similarities)?;
+            outcomes.push(outcome(q, query_index, similarities, cut));
             obs.record_duration("engine.query.seconds", start.elapsed());
             obs.incr("engine.queries", 1);
-            outcomes.push(QueryOutcome {
-                query_index,
-                subgraph,
-                subgraph_avg_weight,
-                content_vector: q.content,
-                concept_vector: q.concept,
-                similarities,
-            });
         }
         Ok(outcomes)
     }
@@ -1374,7 +1225,7 @@ impl<'a> QueryEngine<'a> {
     /// / [`fused_row_from_dots`] sequence as [`QueryEngine::serve`]
     /// (so a candidate's score is bit-identical to its exact-path score)
     /// and merges each query into the cached cut via
-    /// [`CachedCut::cut_with_candidates`], every non-candidate scored as
+    /// [`CachedCut::cut_with_candidates_component`], every non-candidate scored as
     /// "no edge" (reported as `0.0` in [`QueryOutcome::similarities`]).
     /// Exhaustive probes (`nprobe >= n_centroids`) reuse the full unit
     /// matrices, making the whole outcome bit-identical to the exact path.
@@ -1493,11 +1344,11 @@ impl<'a> QueryEngine<'a> {
                 similarities[id as usize] = s;
                 cand_sims.push(s);
             }
-            let (forest, subgraph) = self
+            let cut = self
                 .parts
                 .cut
                 .cut_with_candidates_component(ids, &cand_sims)?;
-            let subgraph_avg_weight = forest.component_avg_weight(&subgraph);
+            outcomes.push(outcome(q, query_index, similarities, cut));
             obs.incr(metrics.queries, 1);
             obs.record(metrics.candidates, ids.len() as f64);
             obs.record(
@@ -1505,14 +1356,6 @@ impl<'a> QueryEngine<'a> {
                 ids.len() as f64 / n.max(1) as f64,
             );
             obs.record_duration(metrics.query_seconds, start.elapsed());
-            outcomes.push(QueryOutcome {
-                query_index,
-                subgraph,
-                subgraph_avg_weight,
-                content_vector: q.content,
-                concept_vector: q.concept,
-                similarities,
-            });
         }
         Ok(outcomes)
     }
@@ -1551,10 +1394,6 @@ impl<'a> QueryEngine<'a> {
     /// makes the whole outcome bit-identical to the exact path. Without
     /// [`QueryEngine::enable_quant`] this serves the exact path and bumps
     /// `engine.quant.fallbacks`.
-    // Indexing is in-bounds by construction: `fused` has one entry per
-    // author (the i8 Gram rows span all n authors) and the selected ids
-    // are drawn from 0..n.
-    #[allow(clippy::indexing_slicing)]
     fn serve_quant(
         &self,
         qvecs: Vec<QueryVectors>,
@@ -1597,10 +1436,10 @@ impl<'a> QueryEngine<'a> {
         let concept_approx = quant.concept.approx_dots(&concept_q)?;
         obs.record_duration("engine.quant.stage1.seconds", stage1_start.elapsed());
 
-        // Per query: top-`r` author ids by approximate fused score
-        // (descending, ties by ascending id — a total order, so the
-        // selection is deterministic), emitted ascending for the sparse
-        // cut's fast path.
+        // Per query: the top-`r` author ids by approximate fused score
+        // under [`rank_order`] (strict, so the selection is
+        // deterministic), emitted ascending for the sparse cut's fast
+        // path.
         let mut candidate_sets: Vec<Vec<u32>> = Vec::with_capacity(qvecs.len());
         for qi in 0..qvecs.len() {
             let (content_row, concept_row) = content_approx
@@ -1608,16 +1447,11 @@ impl<'a> QueryEngine<'a> {
                 .zip(concept_approx.get(qi))
                 .ok_or(CoreError::Internal("one approx row per query"))?;
             let fused = fused_row_from_dots(&self.model, content_row, concept_row);
-            let mut ids: Vec<usize> = (0..n).collect();
-            let cmp = |&a: &usize, &b: &usize| fused[b].total_cmp(&fused[a]).then(a.cmp(&b));
-            if ids.len() > r {
-                // r >= 1 whenever n >= 1 (rerank 0 maps to the default).
-                ids.select_nth_unstable_by(r - 1, cmp);
-                ids.truncate(r);
-            }
-            ids.sort_unstable();
+            let top = top_k_ranked(fused.into_iter().enumerate().collect(), r);
             // id < n <= u32::MAX (guarded above): value-preserving cast.
-            candidate_sets.push(ids.into_iter().map(|id| id as u32).collect());
+            let mut ids: Vec<u32> = top.into_iter().map(|(id, _)| id as u32).collect();
+            ids.sort_unstable();
+            candidate_sets.push(ids);
         }
         self.serve_candidates(qvecs, candidate_sets, &QUANT_METRICS)
     }
@@ -1639,6 +1473,24 @@ fn fusion_weights(model: &QueryModel<'_>) -> (f32, f32) {
         (1.0 - model.alpha) / guard(model.content_stats.1),
         model.alpha / guard(model.concept_stats.1),
     )
+}
+
+/// One query's outcome: its vectors, its reported similarity row and its
+/// cut — the forest and the query node's component.
+fn outcome(
+    q: QueryVectors,
+    query_index: usize,
+    similarities: Vec<f32>,
+    (forest, subgraph): (SpanningForest, Vec<usize>),
+) -> QueryOutcome {
+    QueryOutcome {
+        query_index,
+        subgraph_avg_weight: forest.component_avg_weight(&subgraph),
+        subgraph,
+        content_vector: q.content,
+        concept_vector: q.concept,
+        similarities,
+    }
 }
 
 /// Every row of `rows`, first centered by `center` when given, scaled to
@@ -1780,7 +1632,7 @@ mod tests {
     fn assert_cut_matches(x: &[Vec<f32>], sims: &[f32], min_sim: f32, k: usize) {
         let want = reference_cut(x, sims, min_sim, k);
         let cut = CachedCut::new(x, min_sim, k).unwrap();
-        let got = cut.cut_with_query(sims).unwrap();
+        let got = cut.cut_with_query_component(sims).unwrap().0;
         assert_eq!(
             want.edges(),
             got.edges(),
@@ -1824,10 +1676,10 @@ mod tests {
         // mis-sized row is now a typed error.
         let x = vec![vec![1.0, 0.2], vec![0.2, 1.0]];
         let cut = CachedCut::new(&x, 0.0, 1).unwrap();
-        let err = cut.cut_with_query(&[0.5]).unwrap_err();
+        let err = cut.cut_with_query_component(&[0.5]).unwrap_err();
         assert!(matches!(err, CoreError::Invalid(_)));
         assert!(err.to_string().contains("similarity row length"));
-        assert!(cut.cut_with_query(&[0.5, 0.5, 0.5]).is_err());
+        assert!(cut.cut_with_query_component(&[0.5, 0.5, 0.5]).is_err());
     }
 
     /// The amortized merge must reproduce the full extend + rebuild +
@@ -1866,7 +1718,7 @@ mod tests {
 
             let want = reference_cut(&x, &sims, min_sim, top_k);
             let cut = CachedCut::new(&x, min_sim, top_k).unwrap();
-            let got = cut.cut_with_query(&sims).unwrap();
+            let got = cut.cut_with_query_component(&sims).unwrap().0;
             assert_eq!(want.edges(), got.edges());
             assert_eq!(want.components(), got.components());
         });
@@ -1991,8 +1843,11 @@ mod tests {
                 dense[id as usize] = s;
             }
             let cut = CachedCut::new(&x, min_sim, top_k).unwrap();
-            let want = cut.cut_with_query(&dense).unwrap();
-            let got = cut.cut_with_candidates(&candidates, &cand_sims).unwrap();
+            let want = cut.cut_with_query_component(&dense).unwrap().0;
+            let got = cut
+                .cut_with_candidates_component(&candidates, &cand_sims)
+                .unwrap()
+                .0;
             assert_eq!(want.edges(), got.edges());
 
             let (forest, component) = cut
@@ -2113,8 +1968,11 @@ mod tests {
         let cand_sims = [0.9f32];
         let mut dense = vec![f32::NEG_INFINITY; 3];
         dense[1] = 0.9;
-        let want = cut.cut_with_query(&dense).unwrap();
-        let got = cut.cut_with_candidates(&candidates, &cand_sims).unwrap();
+        let want = cut.cut_with_query_component(&dense).unwrap().0;
+        let got = cut
+            .cut_with_candidates_component(&candidates, &cand_sims)
+            .unwrap()
+            .0;
         assert_eq!(want.edges(), got.edges());
         assert_eq!(want.components(), got.components());
     }
@@ -2133,12 +1991,16 @@ mod tests {
         let mut dense = vec![f32::NEG_INFINITY; 3];
         dense[0] = 0.1;
         dense[2] = 0.7;
-        let want = cut.cut_with_query(&dense).unwrap();
-        let unsorted = cut.cut_with_candidates(&[2, 0], &[0.7, 0.1]).unwrap();
+        let want = cut.cut_with_query_component(&dense).unwrap().0;
+        let unsorted = cut
+            .cut_with_candidates_component(&[2, 0], &[0.7, 0.1])
+            .unwrap()
+            .0;
         assert_eq!(want.edges(), unsorted.edges());
         let duplicated = cut
-            .cut_with_candidates(&[0, 2, 2], &[0.1, 0.5, 0.7])
-            .unwrap();
+            .cut_with_candidates_component(&[0, 2, 2], &[0.1, 0.5, 0.7])
+            .unwrap()
+            .0;
         assert_eq!(want.edges(), duplicated.edges());
     }
 
@@ -2277,13 +2139,19 @@ mod tests {
         ];
         let cut = CachedCut::new(&x, 0.3, 2).unwrap();
         let sims = [0.7f32, 0.1, 0.5];
-        let dense = cut.cut_with_query(&sims).unwrap();
-        let sparse = cut.cut_with_candidates(&[0, 1, 2], &sims).unwrap();
+        let dense = cut.cut_with_query_component(&sims).unwrap().0;
+        let sparse = cut
+            .cut_with_candidates_component(&[0, 1, 2], &sims)
+            .unwrap()
+            .0;
         assert_eq!(dense.edges(), sparse.edges());
         assert_eq!(dense.components(), sparse.components());
         // A strict subset keeps only candidate edges: author 1 cannot be
         // linked to the query when it is not a candidate.
-        let partial = cut.cut_with_candidates(&[0, 2], &[0.7, 0.5]).unwrap();
+        let partial = cut
+            .cut_with_candidates_component(&[0, 2], &[0.7, 0.5])
+            .unwrap()
+            .0;
         let q = cut.n_authors();
         assert!(partial
             .edges()
@@ -2296,16 +2164,16 @@ mod tests {
         let x = vec![vec![1.0, 0.2], vec![0.2, 1.0]];
         let cut = CachedCut::new(&x, 0.0, 1).unwrap();
         assert!(matches!(
-            cut.cut_with_candidates(&[0], &[0.5, 0.5]),
+            cut.cut_with_candidates_component(&[0], &[0.5, 0.5]),
             Err(CoreError::Invalid(_))
         ));
         assert!(matches!(
-            cut.cut_with_candidates(&[7], &[0.5]),
+            cut.cut_with_candidates_component(&[7], &[0.5]),
             Err(CoreError::Invalid(_))
         ));
         // Empty candidate set is legal: the query joins as an isolated
         // node.
-        let forest = cut.cut_with_candidates(&[], &[]).unwrap();
+        let forest = cut.cut_with_candidates_component(&[], &[]).unwrap().0;
         assert_eq!(forest.query_subgraph(2), Some(vec![2]));
     }
 

@@ -8,7 +8,7 @@
 //!
 //! * **Delta path** ([`EngineGeneration::ingest`]) — new authors are
 //!   vectorized against the *frozen* offline model (the same
-//!   [`crate::online::vectorize_query`] the query path uses, so an
+//!   `vectorize_query` the query path uses, so an
 //!   ingested author's vectors are bit-identical to what a query with
 //!   the same tweets would compute), appended to the author rows and
 //!   handles, and spliced into the cached graph cut via
@@ -86,7 +86,7 @@ pub struct IngestOutcome {
 /// [`QueryEngine`] borrows its model, which is the right shape for a CLI
 /// one-shot but cannot be swapped under a running server (the workers'
 /// borrows pin it). A generation *owns* the snapshot and holds the
-/// derived parts ([`EngineParts`]) by `Arc`, so
+/// derived parts (`EngineParts`) by `Arc`, so
 /// [`EngineGeneration::engine`] hands out a borrowed engine view in a
 /// few reference-count bumps — build once, serve forever, drop when the
 /// last in-flight request finishes.
@@ -137,7 +137,7 @@ impl EngineGeneration {
     ///
     /// Per author: vectorize with the query-path machinery, compute the
     /// fused similarity row against the current rows (the query path's
-    /// chunk-wise scoring + [`fused_row_from_dots`], bit-identical to a
+    /// chunk-wise scoring + `fused_row_from_dots`, bit-identical to a
     /// query's row), grow the author rows and handles, and splice the new
     /// edges into the cached cut — `O(n·d + n·k + n log n)`, nothing
     /// `n²`. The quantized state is rebuilt (deterministic); an IVF index

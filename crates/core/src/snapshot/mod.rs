@@ -332,7 +332,7 @@ impl PipelineSnapshot {
     /// Fail-fast contract: the version gate runs **before** the full
     /// parse in both formats. Binary files are gated on their 16-byte
     /// prelude ([`binary::load`]); JSON files have their leading
-    /// `{"version":N` peeked from the first [`SNIFF_LEN`] bytes, so a
+    /// `{"version":N` peeked from the first `SNIFF_LEN` (32) bytes, so a
     /// wrong-version multi-gigabyte file is rejected without
     /// deserializing (and allocating) the whole document.
     ///

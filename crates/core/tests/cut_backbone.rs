@@ -7,7 +7,8 @@
 //!
 //! * the stored edges are exactly `kruskal_max_forest(from_similarity(x))`
 //!   ∪ the edges that fail the threshold, in SW-MST pop order;
-//! * every dense and sparse query cut equals extend-and-rebuild;
+//! * every dense and sparse query cut equals extend-and-rebuild, the
+//!   sparse one with its candidates ascending and reversed;
 //! * a chain of `insert_author` calls stays equal to `CachedCut::new`
 //!   over the grown matrix at every step.
 //!
@@ -124,8 +125,11 @@ fn reference_cut(x: &[Vec<f32>], sims: &[f32], min_sim: f32, top_k: usize) -> Sp
     swmst(&graph)
 }
 
-fn min_sims(rng: &mut SplitMix64) -> [f32; 3] {
-    [-2.0, rng.quarter(), 2.0]
+/// Thresholds to sweep. At −inf every score but NaN clears the
+/// threshold, −inf included, so only the finiteness filter keeps a
+/// non-candidate without a query edge.
+fn min_sims(rng: &mut SplitMix64) -> [f32; 4] {
+    [-2.0, rng.quarter(), 2.0, f32::NEG_INFINITY]
 }
 
 #[test]
@@ -160,7 +164,7 @@ fn query_cuts_match_extend_and_rebuild() {
                 let want = reference_cut(&x, &sims, min_sim, top_k);
                 let ctx = format!("n={n} k={top_k} min_sim={min_sim}");
 
-                let got = cut.cut_with_query(&sims).unwrap();
+                let got = cut.cut_with_query_component(&sims).unwrap().0;
                 assert_eq!(bits(want.edges()), bits(got.edges()), "{ctx}");
                 let (forest, component) = cut.cut_with_query_component(&sims).unwrap();
                 assert_eq!(bits(want.edges()), bits(forest.edges()), "{ctx}");
@@ -182,7 +186,25 @@ fn query_cuts_match_extend_and_rebuild() {
                     .cut_with_candidates_component(&candidates, &cand_sims)
                     .unwrap();
                 assert_eq!(bits(want.edges()), bits(forest.edges()), "sparse {ctx}");
-                assert_eq!(want.query_subgraph(n), Some(component), "sparse {ctx}");
+                assert_eq!(
+                    want.query_subgraph(n),
+                    Some(component.clone()),
+                    "sparse {ctx}"
+                );
+
+                // The same candidates in descending order take the dense
+                // scatter fallback and must cut identically.
+                let reversed: Vec<u32> = candidates.iter().rev().copied().collect();
+                let reversed_sims: Vec<f32> = cand_sims.iter().rev().copied().collect();
+                let (rev_forest, rev_component) = cut
+                    .cut_with_candidates_component(&reversed, &reversed_sims)
+                    .unwrap();
+                assert_eq!(
+                    bits(forest.edges()),
+                    bits(rev_forest.edges()),
+                    "reversed {ctx}"
+                );
+                assert_eq!(component, rev_component, "reversed {ctx}");
             }
         }
     }
@@ -228,7 +250,7 @@ fn displaced_forest_edge_is_replaced_by_a_stored_lifeline() {
     assert!(cut.base_edges().iter().any(|e| pair(e) == lifeline));
     let want = reference_cut(&x, &sims, min_sim, top_k);
     assert!(want.edges().iter().any(|e| pair(e) == lifeline));
-    let got = cut.cut_with_query(&sims).unwrap();
+    let got = cut.cut_with_query_component(&sims).unwrap().0;
     assert_eq!(bits(want.edges()), bits(got.edges()));
     assert_eq!(want.components(), got.components());
 }
@@ -257,8 +279,8 @@ fn insert_chain_matches_rebuild_at_every_step() {
             // Same top-k caches too: a probe query cuts identically.
             let probe: Vec<f32> = (0..=n).map(|_| rng.weight()).collect();
             assert_eq!(
-                bits(rebuilt.cut_with_query(&probe).unwrap().edges()),
-                bits(cut.cut_with_query(&probe).unwrap().edges()),
+                bits(rebuilt.cut_with_query_component(&probe).unwrap().0.edges()),
+                bits(cut.cut_with_query_component(&probe).unwrap().0.edges()),
                 "{ctx}"
             );
         }

@@ -401,7 +401,7 @@ fn nan_and_inf_similarity_rows_never_panic_the_cut() {
         vec![f32::INFINITY, f32::NEG_INFINITY, 0.5],
         vec![0.9, f32::NAN, f32::INFINITY],
     ] {
-        let forest = cut.cut_with_query(&sims).unwrap();
+        let forest = cut.cut_with_query_component(&sims).unwrap().0;
         // The query node always exists and every node is in a component.
         let covered: usize = forest.components().iter().map(Vec::len).sum();
         assert_eq!(covered, 4);
@@ -417,7 +417,7 @@ fn mis_sized_similarity_rows_are_invalid_errors() {
     let cut = CachedCut::new(&x, 0.0, 1).unwrap();
     for bad in [0usize, 1, 3, 64] {
         let sims = vec![0.5; bad];
-        let err = cut.cut_with_query(&sims).unwrap_err();
+        let err = cut.cut_with_query_component(&sims).unwrap_err();
         assert!(
             matches!(err, CoreError::Invalid(_)),
             "row length {bad} gave {err:?}"

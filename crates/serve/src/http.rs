@@ -50,6 +50,10 @@ pub enum HttpError {
     /// The socket failed mid-read for a non-protocol reason. The
     /// connection is unusable; no response can be written.
     Io(std::io::Error),
+    /// The client closed the connection before sending a single byte.
+    /// That is no request at all — a port probe, or the listener poke of
+    /// a shutdown — so it gets no response.
+    Closed,
 }
 
 impl std::fmt::Display for HttpError {
@@ -61,6 +65,7 @@ impl std::fmt::Display for HttpError {
             }
             HttpError::NotImplemented(m) => write!(f, "not implemented: {m}"),
             HttpError::Io(e) => write!(f, "socket error: {e}"),
+            HttpError::Closed => write!(f, "connection closed before any request byte"),
         }
     }
 }
@@ -193,6 +198,7 @@ fn read_header_block(stream: &mut TcpStream) -> Result<(Vec<u8>, Vec<u8>), HttpE
         }
         let mut chunk = [0u8; 1024];
         match stream.read(&mut chunk) {
+            Ok(0) if buf.is_empty() => return Err(HttpError::Closed),
             Ok(0) => {
                 return Err(HttpError::BadRequest(
                     "connection closed before headers completed".into(),

@@ -215,7 +215,7 @@ pub fn render_ingest_response(
 ///
 /// Every line goes into one buffer sized up front from the outcome
 /// lengths. Floats are written by the in-tree shortest round-trip writer
-/// ([`crate::float`]), which emits exactly the bytes of Rust's `Display`
+/// (`float.rs`), which emits exactly the bytes of Rust's `Display`
 /// (an exhaustive test checks all 2³² bit patterns), so a client parsing
 /// a similarity back to `f32` recovers the exact bits the engine
 /// produced; non-finite values (NaN similarity of an unreachable author)

@@ -346,23 +346,20 @@ pub fn serve_with_refit<F: FnOnce(SocketAddr)>(
         }
 
         for incoming in listener.incoming() {
-            // Re-checked after every accept: the shutdown worker pokes
-            // the listener with a loopback connection precisely so this
-            // check runs (the poke connection itself is dropped here).
+            if let Ok(stream) = incoming {
+                if let Err(rejected) = queue.try_push(stream) {
+                    // Backpressure: the queue is full, so shed immediately
+                    // with 503 instead of queueing unbounded latency.
+                    reject_overloaded(rejected);
+                }
+            }
+            // Checked only once the accepted stream is queued (or shed),
+            // so a client that connects just after the flag rises is
+            // still answered. The shutdown worker pokes the listener with
+            // a loopback connection so this check runs; the poke closes
+            // without a byte, which a worker reads as no request.
             if shutdown.load(Ordering::Acquire) {
                 break;
-            }
-            let stream = match incoming {
-                Ok(s) => s,
-                Err(_) => continue,
-            };
-            if shutdown.load(Ordering::Acquire) {
-                break;
-            }
-            if let Err(rejected) = queue.try_push(stream) {
-                // Backpressure: the queue is full, so shed immediately
-                // with 503 instead of queueing unbounded latency.
-                reject_overloaded(rejected);
             }
         }
         // Drain the accept backlog: a connection fully established
@@ -453,8 +450,9 @@ fn handle_connection(ctx: &Ctx<'_>, mut stream: TcpStream) {
             );
             return;
         }
-        // The socket died; there is no one left to answer.
-        Err(HttpError::Io(_)) => return,
+        // The socket died, or the client left without sending a byte:
+        // there is no request and no one left to answer.
+        Err(HttpError::Io(_) | HttpError::Closed) => return,
     };
 
     obs.incr("serve.requests", 1);
@@ -486,7 +484,8 @@ fn handle_connection(ctx: &Ctx<'_>, mut stream: TcpStream) {
             respond(&mut stream, 202, "{\"status\":\"draining\"}");
             ctx.shutdown.store(true, Ordering::Release);
             // Poke the blocking accept() so it observes the flag. The
-            // accept loop drops this connection without queueing it.
+            // poke is queued like any connection and closes unsent, so
+            // it counts as no request.
             // A wildcard bind (0.0.0.0 / ::) is not a connectable
             // destination everywhere, so poke via loopback on the bound
             // port instead.

@@ -20,7 +20,7 @@ use soulmate_serve::{serve, serve_with_refit, ServeConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{mpsc, Barrier};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn fixture() -> (Dataset, PipelineSnapshot) {
     let dataset = generate(&GeneratorConfig {
@@ -460,6 +460,20 @@ fn fault_injection_truncated_and_oversized_bodies() {
         let (status, _) = parse_response(&raw);
         assert_eq!(status, 400);
 
+        // Part of a header block, then a close: a malformed request,
+        // still a 400 (only a connection that sent nothing is no request).
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream.write_all(b"GET /heal").unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut raw = String::new();
+        stream.read_to_string(&mut raw).unwrap();
+        let (status, body) = parse_response(&raw);
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("closed before headers completed"), "{body}");
+
         // Gibberish request line.
         let mut stream = TcpStream::connect(addr).unwrap();
         stream
@@ -474,6 +488,61 @@ fn fault_injection_truncated_and_oversized_bodies() {
         // The server is still healthy after all of that.
         let (status, _) = exchange(addr, "GET", "/healthz", "");
         assert_eq!(status, 200);
+    });
+}
+
+/// A connection that closes before sending a byte is no request — the
+/// shutdown's listener poke is exactly such a connection. It gets no
+/// response, and neither `serve.requests` nor `serve.responses.4xx`
+/// moves.
+#[test]
+fn connect_then_close_counts_as_no_request() {
+    let (_, snapshot) = fixture();
+    let cell = cell(&snapshot, EngineMode::Exact);
+    // One worker takes connections in accept order, so once the
+    // `/healthz` sent after the silent connection is answered, the silent
+    // one has been handled.
+    let config = ServeConfig {
+        threads: 1,
+        ..ServeConfig::default()
+    };
+    with_server(&cell, config, |addr| {
+        // A half-closed silent client can still read: it hears nothing.
+        let mut silent = TcpStream::connect(addr).unwrap();
+        silent
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        silent.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut raw = String::new();
+        silent.read_to_string(&mut raw).unwrap();
+        assert_eq!(raw, "", "a connection that sent nothing got a response");
+
+        let obs = soulmate_obs::global();
+        let counters = || {
+            (
+                obs.counter("serve.requests"),
+                obs.counter("serve.responses.4xx"),
+            )
+        };
+        // The other tests in this binary share the process-wide
+        // registry, so retry until one round sees no traffic but its
+        // own. Their traffic only adds to the counters, so a silent
+        // connection that counted as a request can never give the exact
+        // deltas below.
+        let deadline = Instant::now() + Duration::from_secs(60);
+        loop {
+            let (requests, errors) = counters();
+            drop(TcpStream::connect(addr).unwrap());
+            let (status, _) = exchange(addr, "GET", "/healthz", "");
+            assert_eq!(status, 200);
+            if counters() == (requests + 1, errors) {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "a silent connection kept moving serve.requests or serve.responses.4xx"
+            );
+        }
     });
 }
 
