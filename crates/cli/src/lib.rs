@@ -72,6 +72,9 @@ USAGE:
   soulmate experiment <id> [--authors N] [--tweets N] [--seed N] [--dim N] [--epochs N]
   soulmate stats     [--json]
 
+`generate --tweets N` sets the mean number of tweets per author (default
+60), not the corpus total.
+
 `--metrics <path>` dumps the process metrics registry (stage timings,
 query latency histograms, kernel block counters) as JSON after the
 command finishes; `fit --stats` / `link --stats` and the `stats` command

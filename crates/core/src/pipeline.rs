@@ -49,8 +49,12 @@ pub struct PipelineConfig {
     pub concept: ConceptConfig,
     /// Concept impact ratio α of Eq 17 (paper optimum 0.6).
     pub alpha: f32,
-    /// Graph sparsification: minimum similarity for an edge (use a very
-    /// low value for the paper's fully connected graph).
+    /// Graph sparsification: minimum fused similarity for an edge. The
+    /// fused score is the α-blend of two off-diagonal z-scores (Eq 17),
+    /// so the default −1.0 is not "keep everything": on `fast()` fits of
+    /// 120 and 400 synthetic authors it drops 11–13 % of author pairs
+    /// (no author lost every edge). Use `f32::NEG_INFINITY` for the
+    /// paper's fully connected graph.
     pub graph_min_sim: f32,
     /// Graph sparsification: per-node strongest-neighbour lifelines.
     pub graph_top_k: usize,

@@ -155,7 +155,10 @@ fn encoding_name(encoding: u32) -> &'static str {
 
 /// The small scalar/metadata fields of a snapshot, stored as one JSON
 /// section (they are a rounding error next to the matrices, and JSON
-/// keeps them schema-evolvable exactly like the v1/v2 formats).
+/// keeps them schema-evolvable exactly like the v1/v2 formats). Unknown
+/// keys are ignored, so files that still carry the `fit_metrics` timings
+/// earlier writers stored load as before; nothing writes them now, which
+/// keeps a model file a function of its data.
 #[derive(Serialize, Deserialize)]
 struct MetaSection {
     /// Logical snapshot schema version: 3 for what the writer emits,
@@ -172,8 +175,6 @@ struct MetaSection {
     concept_means: Vec<f32>,
     concept_stats: (f32, f32),
     content_stats: (f32, f32),
-    #[serde(default)]
-    fit_metrics: Vec<(String, f64)>,
 }
 
 // ---------------------------------------------------------------------
@@ -409,7 +410,6 @@ fn encode_sections(snap: &PipelineSnapshot, quantize: bool) -> Result<Vec<Sectio
         concept_means: snap.concept_means.clone(),
         concept_stats: snap.concept_stats,
         content_stats: snap.content_stats,
-        fit_metrics: snap.fit_metrics.clone(),
     };
     Ok(vec![
         Section {
@@ -1060,7 +1060,6 @@ pub fn load(path: &Path) -> Result<PipelineSnapshot, CoreError> {
         graph_min_sim: meta.graph_min_sim,
         graph_top_k: meta.graph_top_k,
         author_handles: Handles::from(meta.author_handles),
-        fit_metrics: meta.fit_metrics,
     };
     snapshot.validate()?;
     soulmate_obs::global().record_duration("snapshot.load_binary.seconds", start.elapsed());

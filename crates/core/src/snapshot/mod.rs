@@ -105,12 +105,6 @@ pub struct PipelineSnapshot {
     pub graph_top_k: usize,
     /// Author display handles, index-aligned with the vectors.
     pub author_handles: Handles,
-    /// Fit-stage metrics summary captured when the snapshot was taken:
-    /// `(histogram name, total seconds)` per `stage.*` histogram in the
-    /// process-global [`soulmate_obs`] registry, sorted by name. Absent
-    /// in pre-observability snapshots (defaults to empty) — purely
-    /// informational, never validated.
-    pub fit_metrics: Vec<(String, f64)>,
 }
 
 /// A v1/v2 JSON snapshot as earlier releases wrote it: the fields of
@@ -136,8 +130,6 @@ struct JsonSnapshot {
     graph_min_sim: f32,
     graph_top_k: usize,
     author_handles: Vec<String>,
-    #[serde(default)]
-    fit_metrics: Vec<(String, f64)>,
 }
 
 /// Current logical snapshot schema version, stored in the v3 container's
@@ -297,21 +289,8 @@ impl Pipeline {
             graph_min_sim: min_sim,
             graph_top_k: top_k,
             author_handles: handles,
-            fit_metrics: stage_seconds_summary(),
         }
     }
-}
-
-/// Total seconds per `stage.*` histogram in the global metrics registry
-/// (empty when nothing was instrumented, e.g. hand-built snapshots).
-/// Sorted by name — `MetricsRegistry::names` is already ordered.
-fn stage_seconds_summary() -> Vec<(String, f64)> {
-    let obs = soulmate_obs::global();
-    obs.names()
-        .into_iter()
-        .filter(|n| n.starts_with("stage."))
-        .filter_map(|n| obs.histogram(&n).map(|h| (n, h.sum)))
-        .collect()
 }
 
 impl PipelineSnapshot {
@@ -415,7 +394,6 @@ impl PipelineSnapshot {
             graph_min_sim: json.graph_min_sim,
             graph_top_k: json.graph_top_k,
             author_handles: Handles::from(json.author_handles),
-            fit_metrics: json.fit_metrics,
         };
         snapshot.validate()?;
         soulmate_obs::global().record_duration("snapshot.load.seconds", start.elapsed());
@@ -701,21 +679,25 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A model file holds no wall-clock timings: two fits of the same
+    /// data in one process (where the global `stage.*` histograms keep
+    /// growing) save the same bytes.
     #[test]
-    fn snapshot_embeds_fit_stage_metrics() {
-        let (_, p) = fitted();
-        let snap = p.snapshot(&[]);
+    fn two_fits_in_one_process_save_identical_model_files() {
+        let save = |name: &str| -> Vec<u8> {
+            let (_, p) = fitted();
+            let path = tmp(name);
+            p.snapshot(&[]).save_binary(&path, false).unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            bytes
+        };
+        let first = save("refit-a.bin");
+        let second = save("refit-b.bin");
         assert!(
-            snap.fit_metrics
-                .iter()
-                .any(|(n, _)| n == "stage.fit.seconds"),
-            "fit stage timings missing from snapshot: {:?}",
-            snap.fit_metrics.iter().map(|(n, _)| n).collect::<Vec<_>>()
+            first == second,
+            "two fits of the same data saved different bytes"
         );
-        assert!(snap
-            .fit_metrics
-            .iter()
-            .all(|(_, v)| v.is_finite() && *v >= 0.0));
     }
 
     #[test]

@@ -62,6 +62,9 @@ fn next_file() -> usize {
 /// Section kind of the dense matrix in schema 1–2 containers.
 const KIND_X_TOTAL: u32 = 7;
 
+/// Section kind of the cut's backbone in schema-3 containers.
+const KIND_BACKBONE: u32 = 9;
+
 /// Load the committed v2 JSON fixture after `edit` changed the rows of
 /// its dense `x_total` — the legacy JSON read path — returning the error.
 fn json_x_total_error(edit: impl FnOnce(&mut Vec<serde_json::Value>)) -> CoreError {
@@ -512,4 +515,61 @@ fn valid_snapshot_roundtrip_serves_bit_for_bit() {
         assert_eq!(want.subgraph, got.subgraph, "author {author}");
         assert_eq!(want.subgraph_avg_weight, got.subgraph_avg_weight);
     }
+}
+
+#[test]
+fn cyclic_forest_backbone_is_a_schema_error() {
+    // The committed schema-3 fixture has no lifelines (top_k = 0), so
+    // its backbone must be a forest: the output-sensitive cut reads the
+    // query's component off the forest's adjacency. Forge a cycle that
+    // every other check passes: drop the weakest edge (staying within
+    // the n - 1 bound), then close a cycle inside one tree with a new
+    // pair weaker than every edge (staying in pop order, no pair twice).
+    let bytes = std::fs::read(fixture("v3_schema3.bin")).unwrap();
+    let mut sections = common::split(&bytes);
+    let (_, _, payload) = sections
+        .iter_mut()
+        .find(|(kind, _, _)| *kind == KIND_BACKBONE)
+        .unwrap();
+    let mut edges: Vec<(u32, u32, f32)> = payload[8..]
+        .chunks_exact(12)
+        .map(|c| {
+            (
+                u32::from_le_bytes(c[0..4].try_into().unwrap()),
+                u32::from_le_bytes(c[4..8].try_into().unwrap()),
+                f32::from_le_bytes(c[8..12].try_into().unwrap()),
+            )
+        })
+        .collect();
+    let weakest = edges.pop().unwrap().2;
+    // A path a - b - c through two kept edges; (a, c) closes a triangle.
+    let (a, b) = (edges[0].0, edges[0].1);
+    let &(x, y, _) = edges[1..]
+        .iter()
+        .find(|&&(x, y, _)| (x == a || x == b || y == a || y == b) && (x, y) != (a, b))
+        .expect("two backbone edges share a node");
+    let shared = if x == a || x == b { x } else { y };
+    let far = if shared == x { y } else { x };
+    let near = if shared == a { b } else { a };
+    let pair = (near.min(far), near.max(far));
+    assert!(
+        edges.iter().all(|&(u, v, _)| (u, v) != pair),
+        "the closing pair is new"
+    );
+    edges.push((pair.0, pair.1, weakest - 1.0));
+    let mut forged = (edges.len() as u64).to_le_bytes().to_vec();
+    for &(u, v, w) in &edges {
+        forged.extend_from_slice(&u.to_le_bytes());
+        forged.extend_from_slice(&v.to_le_bytes());
+        forged.extend_from_slice(&w.to_le_bytes());
+    }
+    *payload = forged;
+    let path = tmp(&format!("cyclic-{}.bin", next_file()));
+    std::fs::write(&path, common::seal(&sections)).unwrap();
+    let err = PipelineSnapshot::load(&path).unwrap_err();
+    std::fs::remove_file(&path).ok();
+    assert!(
+        matches!(&err, CoreError::Schema(m) if m.contains("closes a cycle")),
+        "{err:?}"
+    );
 }
