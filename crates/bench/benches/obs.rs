@@ -154,15 +154,14 @@ fn bench_primitives() {
 fn bench_instrumented_engine() {
     let mut group = Group::new("obs_engine");
     group.sample_size(10);
-    for &n in &[1024usize] {
-        let serving = build_model(n, 7 + n as u64);
-        let mut rng = StdRng::seed_from_u64(99);
-        let query = [build_query(&mut rng, 5)];
-        let engine = serving.engine();
-        group.bench(format!("engine_link_query/{n}"), || {
-            black_box(engine.link_query_authors(&query).unwrap())
-        });
-    }
+    let n = 1024usize;
+    let serving = build_model(n, 7 + n as u64);
+    let mut rng = StdRng::seed_from_u64(99);
+    let query = [build_query(&mut rng, 5)];
+    let engine = serving.engine();
+    group.bench(format!("engine_link_query/{n}"), || {
+        black_box(engine.link_query_authors(&query).unwrap())
+    });
 }
 
 fn main() {

@@ -137,10 +137,9 @@ fn build_model(n: usize, seed: u64) -> ServingModel {
 /// same O(E) replay both serving paths share.
 fn paired_x_total(n: usize) -> Vec<Vec<f32>> {
     let mut x: Vec<Vec<f32>> = vec![vec![0.0; n]; n];
-    for i in 0..n {
-        let partner = i ^ 1;
-        if partner < n {
-            x[i][partner] = PAIR_SIM;
+    for (i, row) in x.iter_mut().enumerate() {
+        if let Some(partner) = row.get_mut(i ^ 1) {
+            *partner = PAIR_SIM;
         }
     }
     x

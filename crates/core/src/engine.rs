@@ -2813,7 +2813,7 @@ mod tests {
         }
         assert!(scored > 0, "narrow probe scored nothing");
         assert!(
-            scored < engine.n_authors() || exact.similarities.iter().any(|&s| s == 0.0),
+            scored < engine.n_authors() || exact.similarities.contains(&0.0),
             "nprobe=1 with 6 centroids should prune someone"
         );
     }

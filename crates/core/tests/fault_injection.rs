@@ -237,10 +237,13 @@ fn json_load_runs_validation() {
     );
 }
 
+/// One in-memory corruption of a snapshot.
+type Mutation = Box<dyn FnOnce(&mut PipelineSnapshot)>;
+
 #[test]
 fn shape_corruptions_are_schema_errors() {
     // Each mutation breaks one cross-reference the serving path indexes.
-    let cases: Vec<(&str, Box<dyn FnOnce(&mut PipelineSnapshot)>)> = vec![
+    let cases: Vec<(&str, Mutation)> = vec![
         (
             "handle popped",
             Box::new(|s: &mut PipelineSnapshot| {

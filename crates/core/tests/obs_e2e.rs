@@ -69,7 +69,7 @@ fn fit_and_query_populate_expected_metric_names() {
         .histogram("engine.query.seconds")
         .expect("per-query latency histogram");
     assert!(latency.count >= 1);
-    assert!(obs.counter("engine.queries") >= queries_before + 1);
+    assert!(obs.counter("engine.queries") > queries_before);
     // The fitted model has no lifelines (`graph_top_k == 0`), so its
     // cut counts the edges it examines and never a displacement.
     let examined = obs.counter("engine.edges_examined");

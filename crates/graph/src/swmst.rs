@@ -352,7 +352,7 @@ mod tests {
         // Edges built directly (bypassing add_edge validation) may carry
         // NaN; the total order must sort them instead of panicking, with
         // positive NaN strongest.
-        let mut edges = vec![
+        let mut edges = [
             Edge { u: 0, v: 1, w: 0.5 },
             Edge {
                 u: 1,

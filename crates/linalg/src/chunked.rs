@@ -293,7 +293,7 @@ mod tests {
         // serving path's stage-2 re-rank never blends into gram_rect.
         let rows_calls = obs.counter("kernels.gram_rect_rows.calls");
         let _ = s.dots_at(&[q], &[0, 64, 129]);
-        assert!(obs.counter("kernels.gram_rect_rows.calls") >= rows_calls + 1);
+        assert!(obs.counter("kernels.gram_rect_rows.calls") > rows_calls);
     }
 
     /// The store against a flat matrix built from the same pushes, with

@@ -489,7 +489,7 @@ mod tests {
         // Other tests record into the same global registry concurrently,
         // so assert monotone growth by at least this call's contribution.
         assert!(obs.counter("kernels.gram.tiles") >= before + 6);
-        assert!(obs.counter("kernels.gram.calls") >= calls_before + 1);
+        assert!(obs.counter("kernels.gram.calls") > calls_before);
         let rect_before = obs.counter("kernels.gram_rect.tiles");
         let _ = gram_rect_blocked(&m, &m);
         assert!(obs.counter("kernels.gram_rect.tiles") >= rect_before + 9);
@@ -564,7 +564,7 @@ mod tests {
         }
         let rect_before = soulmate_obs::global().counter("kernels.gram_rect_i8.calls");
         let _ = gram_rect_i8_blocked(&QuantizedRows::quantize(&ma), &QuantizedRows::quantize(&mb));
-        assert!(soulmate_obs::global().counter("kernels.gram_rect_i8.calls") >= rect_before + 1);
+        assert!(soulmate_obs::global().counter("kernels.gram_rect_i8.calls") > rect_before);
     }
 
     #[test]

@@ -29,6 +29,7 @@ const BLOCKING_CALLS: &[&str] = &[
     "connect",
     "read_request",
     "write_response",
+    "write_response_with",
     "read_to_end",
     "read_to_string",
     "read_exact",

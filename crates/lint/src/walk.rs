@@ -86,7 +86,7 @@ mod tests {
         std::fs::write(dir.join("b/ok.rs"), "fn f() {}").unwrap();
         std::fs::write(dir.join("a/first.rs"), "fn g() {}").unwrap();
         std::fs::write(dir.join("notes.txt"), "not rust").unwrap();
-        let files = collect_rs_files(&[dir.clone()]).unwrap();
+        let files = collect_rs_files(std::slice::from_ref(&dir)).unwrap();
         let rel: Vec<String> = files
             .iter()
             .map(|p| {

@@ -236,10 +236,10 @@ mod tests {
         assert_eq!(s.count, 100);
         let (p50, p95, p99) = (s.p50.unwrap(), s.p95.unwrap(), s.p99.unwrap());
         // p50 lands in the 1ms bucket (≤ 2x relative error).
-        assert!(p50 >= 1e-3 && p50 <= 2.1e-3, "p50 = {p50}");
+        assert!((1e-3..=2.1e-3).contains(&p50), "p50 = {p50}");
         // p95 and p99 land in the 1s region.
-        assert!(p95 >= 0.5 && p95 <= 1.0, "p95 = {p95}");
-        assert!(p99 >= 0.5 && p99 <= 1.0, "p99 = {p99}");
+        assert!((0.5..=1.0).contains(&p95), "p95 = {p95}");
+        assert!((0.5..=1.0).contains(&p99), "p99 = {p99}");
     }
 
     #[test]

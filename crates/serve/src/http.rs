@@ -183,10 +183,17 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
 
 /// Read until the `\r\n\r\n` header terminator; returns the header bytes
 /// (without the terminator) and any body bytes read past it.
-fn read_header_block(stream: &mut TcpStream) -> Result<(Vec<u8>, Vec<u8>), HttpError> {
+///
+/// Each read scans only its new bytes, plus the last three of the bytes
+/// before them, which a terminator may straddle: a client sending one
+/// byte per read costs linear work, not a rescan of the whole block.
+fn read_header_block(stream: &mut impl Read) -> Result<(Vec<u8>, Vec<u8>), HttpError> {
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
+    // No terminator starts before this offset.
+    let mut scanned = 0;
     loop {
-        if let Some(end) = find_terminator(&buf) {
+        if let Some(end) = find_terminator(buf.get(scanned..).unwrap_or_default()) {
+            let end = scanned + end;
             let rest = buf.split_off(end + 4);
             buf.truncate(end);
             return Ok((buf, rest));
@@ -196,6 +203,7 @@ fn read_header_block(stream: &mut TcpStream) -> Result<(Vec<u8>, Vec<u8>), HttpE
                 "header block exceeds {MAX_HEADER_BYTES} bytes"
             )));
         }
+        scanned = buf.len().saturating_sub(3);
         let mut chunk = [0u8; 1024];
         match stream.read(&mut chunk) {
             Ok(0) if buf.is_empty() => return Err(HttpError::Closed),
@@ -240,10 +248,66 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Write one complete response and flush it. `Connection: close` is
-/// always sent: the protocol is one request per connection. Head and
-/// body go out in one buffer and one `write_all`, so a `TCP_NODELAY`
-/// socket does not send the head as a segment of its own.
+/// Room left in front of a body rendered in place for the head: its
+/// fixed text (67 bytes), a 5-digit status, the longest reason phrase
+/// (21) and a 20-digit length fit in 128; the content type comes on top.
+const HEAD_ROOM: usize = 128;
+
+/// One complete response in one buffer, returned as `(buffer, start)`
+/// with the response in `buffer[start..]`. The body `render` appends is
+/// written once, after room left for the head; the head goes into the
+/// end of that room once the body's length is known.
+fn response_bytes(
+    status: u16,
+    content_type: &str,
+    body_capacity: usize,
+    render: impl FnOnce(&mut Vec<u8>),
+) -> (Vec<u8>, usize) {
+    let room = HEAD_ROOM + content_type.len();
+    let mut response = Vec::with_capacity(room + body_capacity);
+    response.resize(room, 0);
+    render(&mut response);
+    let head = format!(
+        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+        reason(status),
+        response.len().saturating_sub(room),
+    );
+    let start = room.saturating_sub(head.len());
+    match response.get_mut(start..room) {
+        Some(slot) if slot.len() == head.len() => slot.copy_from_slice(head.as_bytes()),
+        // HEAD_ROOM bounds every head; kept total all the same.
+        _ => drop(response.splice(..room, head.bytes())),
+    }
+    (response, start)
+}
+
+/// Write one complete response whose body `render` appends to the
+/// buffer it is given, and flush it. `Connection: close` is always sent:
+/// the protocol is one request per connection. The body is rendered
+/// straight into the response buffer behind room for the head, and head
+/// and body go out in one `write_all`, so a `TCP_NODELAY` socket does not
+/// send the head as a segment of its own. `body_capacity` sizes the
+/// buffer up front.
+///
+/// # Errors
+/// Propagates socket write errors (callers treat them as best-effort —
+/// a client that hung up mid-response is not a server failure).
+pub(crate) fn write_response_with(
+    stream: &mut TcpStream,
+    status: u16,
+    content_type: &str,
+    body_capacity: usize,
+    render: impl FnOnce(&mut Vec<u8>),
+) -> std::io::Result<()> {
+    let (response, start) = response_bytes(status, content_type, body_capacity, render);
+    stream.write_all(response.get(start..).unwrap_or_default())?;
+    stream.flush()
+}
+
+/// Write one complete response with a ready `body` and flush it.
+/// `Connection: close` is always sent: the protocol is one request per
+/// connection. The body is copied once into the response buffer behind
+/// the head, and head and body go out in one `write_all`.
 ///
 /// # Errors
 /// Propagates socket write errors (callers treat them as best-effort —
@@ -254,16 +318,9 @@ pub fn write_response(
     content_type: &str,
     body: &str,
 ) -> std::io::Result<()> {
-    let mut response = Vec::with_capacity(128 + content_type.len() + body.len());
-    write!(
-        response,
-        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        reason(status),
-        body.len(),
-    )?;
-    response.extend_from_slice(body.as_bytes());
-    stream.write_all(&response)?;
-    stream.flush()
+    write_response_with(stream, status, content_type, body.len(), |out| {
+        out.extend_from_slice(body.as_bytes());
+    })
 }
 
 #[cfg(test)]
@@ -425,6 +482,150 @@ mod tests {
             HttpError::BadRequest(m) => assert!(m.contains("header block exceeds"), "{m}"),
             other => panic!("expected BadRequest, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn byte_at_a_time_client_parses_the_same_request() {
+        let raw = b"POST /link HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhello";
+        let req = roundtrip(1024, |c| {
+            c.set_nodelay(true).unwrap();
+            for byte in raw {
+                c.write_all(&[*byte]).unwrap();
+            }
+        })
+        .unwrap();
+        assert_eq!(req.method, "POST");
+        assert_eq!(req.path, "/link");
+        assert_eq!(req.body, b"hello");
+
+        let err = roundtrip(1024, |c| {
+            c.set_nodelay(true).unwrap();
+            c.write_all(b"GET / HTTP/1.1\r\nX-Junk: ").unwrap();
+            for _ in 0..=MAX_HEADER_BYTES {
+                if c.write_all(b"a").is_err() {
+                    // The server answered and closed: that is the point.
+                    break;
+                }
+            }
+        })
+        .unwrap_err();
+        match err {
+            HttpError::BadRequest(m) => assert!(m.contains("header block exceeds"), "{m}"),
+            other => panic!("expected BadRequest, got {other:?}"),
+        }
+    }
+
+    /// A reader that hands out one byte per `read`.
+    struct OneByte<'a>(&'a [u8]);
+
+    impl Read for OneByte<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match (self.0.split_first(), buf.first_mut()) {
+                (Some((&byte, rest)), Some(slot)) => {
+                    *slot = byte;
+                    self.0 = rest;
+                    Ok(1)
+                }
+                _ => Ok(0),
+            }
+        }
+    }
+
+    #[test]
+    fn a_terminator_split_over_one_byte_reads_is_found() {
+        let (header, rest) =
+            read_header_block(&mut OneByte(b"GET / HTTP/1.1\r\nA: b\r\n\r\nbody")).unwrap();
+        assert_eq!(header, b"GET / HTTP/1.1\r\nA: b");
+        // One byte per read: the terminator's last byte ends the read.
+        assert!(rest.is_empty());
+        // A blank line anywhere but at the end of the block is no
+        // terminator: "\r\n" then "\r" then a header byte.
+        let err = read_header_block(&mut OneByte(b"GET / HTTP/1.1\r\n\rX")).unwrap_err();
+        assert!(matches!(err, HttpError::BadRequest(_)), "{err}");
+    }
+
+    /// The bytes `write` sends on a fresh connection.
+    fn sent(write: impl FnOnce(&mut TcpStream) + Send) -> Vec<u8> {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                let (mut stream, _) = listener.accept().unwrap();
+                write(&mut stream);
+            });
+            let mut c = TcpStream::connect(addr).unwrap();
+            let mut bytes = Vec::new();
+            c.read_to_end(&mut bytes).unwrap();
+            bytes
+        })
+    }
+
+    #[test]
+    fn link_response_in_one_buffer_matches_head_plus_rendered_body() {
+        use crate::protocol::{render_outcomes, render_outcomes_into, rendered_capacity};
+        use soulmate_core::QueryOutcome;
+        let outcome = |query_index, similarities: Vec<f32>| QueryOutcome {
+            query_index,
+            subgraph: if similarities.is_empty() {
+                Vec::new()
+            } else {
+                vec![0, 3, query_index]
+            },
+            subgraph_avg_weight: similarities.first().copied().unwrap_or(f32::NAN),
+            content_vector: vec![-0.0, 1e-45, f32::MIN_POSITIVE, 0.1],
+            concept_vector: Vec::new(),
+            similarities,
+        };
+        let batches = [
+            vec![],
+            vec![outcome(4, vec![])],
+            vec![
+                outcome(
+                    7,
+                    vec![
+                        f32::NAN,
+                        f32::INFINITY,
+                        f32::NEG_INFINITY,
+                        -0.0,
+                        1.4e-45,
+                        -3.4e38,
+                    ],
+                ),
+                outcome(8, vec![]),
+                outcome(9, (0..300).map(|i| (i as f32 - 150.0) / 7.0).collect()),
+            ],
+        ];
+        for outcomes in &batches {
+            let one_buffer = sent(|stream| {
+                write_response_with(
+                    stream,
+                    200,
+                    "application/x-ndjson",
+                    rendered_capacity(outcomes),
+                    |out| render_outcomes_into(out, outcomes),
+                )
+                .unwrap();
+            });
+            let two_steps = sent(|stream| {
+                let body = render_outcomes(outcomes);
+                write_response(stream, 200, "application/x-ndjson", &body).unwrap();
+            });
+            assert_eq!(
+                String::from_utf8(one_buffer).unwrap(),
+                String::from_utf8(two_steps).unwrap()
+            );
+        }
+        // The head itself is exactly what the two-step writer always
+        // sent.
+        let body = render_outcomes(&[outcome(1, vec![0.25])]);
+        let (bytes, start) = response_bytes(200, "application/x-ndjson", 0, |out| {
+            out.extend_from_slice(body.as_bytes());
+        });
+        let expected = format!(
+            "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+            body.len()
+        );
+        assert_eq!(bytes.get(start..).unwrap(), expected.as_bytes());
     }
 
     #[test]

@@ -9,9 +9,11 @@
 //! in the same order, rendered deterministically — the e2e suite
 //! asserts byte equality between served responses and a local render of
 //! `link_query_authors` output, so this module is the single source of
-//! truth for outcome formatting.
+//! truth for outcome formatting. One byte renderer writes the outcomes:
+//! the server runs it straight into its response buffer, and
+//! [`render_outcomes`] wraps it for callers that want a `String`.
 
-use crate::float::push_f32;
+use crate::float::{push_f32, push_f32_list, push_usize};
 use soulmate_core::{CoreError, IngestBatch, IngestOutcome, QueryOutcome};
 use soulmate_corpus::Timestamp;
 
@@ -213,42 +215,52 @@ pub fn render_ingest_response(
 
 /// Render outcomes as NDJSON, one line per query, trailing newline.
 ///
-/// Every line goes into one buffer sized up front from the outcome
-/// lengths. Floats are written by the in-tree shortest round-trip writer
+/// Floats are written by the in-tree shortest round-trip writer
 /// (`float.rs`), which emits exactly the bytes of Rust's `Display`
 /// (an exhaustive test checks all 2³² bit patterns), so a client parsing
 /// a similarity back to `f32` recovers the exact bits the engine
 /// produced; non-finite values (NaN similarity of an unreachable author)
-/// render as `null` because JSON has no NaN.
+/// render as `null` because JSON has no NaN. The server renders the same
+/// bytes straight into its response buffer.
 pub fn render_outcomes(outcomes: &[QueryOutcome]) -> String {
-    // 16 bytes per float holds the usual "-0.123456789,"; 8 per subgraph
-    // index and 128 for the keys of a line.
-    let capacity: usize = outcomes
+    let mut out = Vec::with_capacity(rendered_capacity(outcomes));
+    render_outcomes_into(&mut out, outcomes);
+    // Every byte is ASCII, so the conversion cannot fail; the lossy arm
+    // only keeps this function total.
+    String::from_utf8(out).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
+}
+
+/// Bytes to reserve for rendering `outcomes`: 16 per float holds the
+/// usual "-0.123456789,", 8 per subgraph index and 128 for the keys of a
+/// line.
+pub(crate) fn rendered_capacity(outcomes: &[QueryOutcome]) -> usize {
+    outcomes
         .iter()
         .map(|o| {
             let floats = 1 + o.similarities.len() + o.content_vector.len() + o.concept_vector.len();
             128 + 16 * floats + 8 * o.subgraph.len()
         })
-        .sum();
-    let mut out = Vec::with_capacity(capacity);
+        .sum()
+}
+
+/// Append the NDJSON of `outcomes` to `out`: the byte renderer behind
+/// [`render_outcomes`] and the server's `/link` response.
+pub(crate) fn render_outcomes_into(out: &mut Vec<u8>, outcomes: &[QueryOutcome]) {
     for o in outcomes {
         out.extend_from_slice(b"{\"query_index\":");
-        push_usize(&mut out, o.query_index);
+        push_usize(out, o.query_index);
         out.extend_from_slice(b",\"subgraph\":[");
-        push_list(&mut out, &o.subgraph, push_usize);
+        push_list(out, &o.subgraph, push_usize);
         out.extend_from_slice(b"],\"subgraph_avg_weight\":");
-        push_f32(&mut out, o.subgraph_avg_weight);
+        push_f32(out, o.subgraph_avg_weight);
         out.extend_from_slice(b",\"similarities\":[");
-        push_list(&mut out, &o.similarities, push_f32);
+        push_f32_list(out, &o.similarities);
         out.extend_from_slice(b"],\"content_vector\":[");
-        push_list(&mut out, &o.content_vector, push_f32);
+        push_f32_list(out, &o.content_vector);
         out.extend_from_slice(b"],\"concept_vector\":[");
-        push_list(&mut out, &o.concept_vector, push_f32);
+        push_f32_list(out, &o.concept_vector);
         out.extend_from_slice(b"]}\n");
     }
-    // Every byte above is ASCII, so the conversion cannot fail; the lossy
-    // arm only keeps this function total.
-    String::from_utf8(out).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
 /// Append `items` comma-separated.
@@ -258,22 +270,6 @@ fn push_list<T: Copy>(out: &mut Vec<u8>, items: &[T], push: impl Fn(&mut Vec<u8>
             out.push(b',');
         }
         push(out, item);
-    }
-}
-
-/// Append `n` in decimal.
-fn push_usize(out: &mut Vec<u8>, mut n: usize) {
-    let start = out.len();
-    loop {
-        // A decimal digit fits u8.
-        out.push(b'0' + (n % 10) as u8);
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
-    if let Some(digits) = out.get_mut(start..) {
-        digits.reverse();
     }
 }
 
@@ -414,7 +410,7 @@ mod tests {
             concept_vector: vec![f32::NAN],
             similarities: vec![0.25, 1.0 / 3.0, f32::INFINITY],
         };
-        let text = render_outcomes(&[outcome.clone()]);
+        let text = render_outcomes(std::slice::from_ref(&outcome));
         assert!(text.ends_with('\n'));
         let v = serde_json::from_str::<serde_json::Value>(text.trim()).unwrap();
         assert_eq!(v.get("query_index").and_then(|x| x.as_i64()), Some(4));

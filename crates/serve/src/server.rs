@@ -31,7 +31,7 @@
 //! taking new connections; workers drain everything already queued and
 //! in flight, then [`serve`] returns. No accepted request is dropped.
 
-use crate::http::{read_request, write_response, HttpError, Request};
+use crate::http::{read_request, write_response, write_response_with, HttpError, Request};
 use crate::protocol;
 use soulmate_core::{EngineCell, RefitManager};
 use std::collections::VecDeque;
@@ -564,8 +564,17 @@ fn handle_link(ctx: &Ctx<'_>, stream: &mut TcpStream, request: &Request) {
     // `--multi` path, so served responses stay bit-identical to it.
     match engine.link_query_authors(&queries) {
         Ok(outcomes) => {
-            let body = protocol::render_outcomes(&outcomes);
-            write_ok_ndjson(stream, &body);
+            // Rendered straight into the response buffer: no body
+            // string, no second copy.
+            count_status(200);
+            write_response_with(
+                stream,
+                200,
+                "application/x-ndjson",
+                protocol::rendered_capacity(&outcomes),
+                |out| protocol::render_outcomes_into(out, &outcomes),
+            )
+            .ok();
         }
         Err(e) => {
             respond(
@@ -652,11 +661,6 @@ fn handle_ingest(ctx: &Ctx<'_>, stream: &mut TcpStream, request: &Request) {
 fn respond(stream: &mut TcpStream, status: u16, body: &str) {
     count_status(status);
     write_response(stream, status, "application/json", body).ok();
-}
-
-fn write_ok_ndjson(stream: &mut TcpStream, body: &str) {
-    count_status(200);
-    write_response(stream, 200, "application/x-ndjson", body).ok();
 }
 
 fn count_status(status: u16) {

@@ -57,6 +57,35 @@ fn pipeline_is_deterministic_across_fits() {
     );
 }
 
+/// TCBOW trains its slab models on worker threads; how many must not
+/// change the model. Fits with one and with four threads save model files
+/// with the same bytes.
+#[test]
+fn fits_with_one_and_four_tcbow_threads_save_identical_model_files() {
+    let d = dataset();
+    let save = |threads: usize| -> Vec<u8> {
+        let mut config = PipelineConfig::fast();
+        config.tcbow.threads = threads;
+        let p = Pipeline::fit(&d, config).expect("fit");
+        let path = std::env::temp_dir().join(format!(
+            "soulmate-tcbow-threads-{threads}-{}.bin",
+            std::process::id()
+        ));
+        p.snapshot(&[]).save_binary(&path, false).expect("save");
+        let bytes = std::fs::read(&path).expect("read back");
+        std::fs::remove_file(&path).ok();
+        bytes
+    };
+    let one = save(1);
+    let four = save(4);
+    assert!(
+        one == four,
+        "fits with 1 and 4 TCBOW threads saved different model files ({} vs {} bytes)",
+        one.len(),
+        four.len()
+    );
+}
+
 #[test]
 fn all_baselines_produce_valid_similarity_matrices() {
     let d = dataset();
