@@ -36,10 +36,7 @@ fn graph_construction() {
         .collect();
     let mut group = Group::new("graph_construction");
     group.bench("full_similarity_graph", || {
-        WeightedGraph::from_similarity(&sim, -1.0, 0).unwrap()
-    });
-    group.bench("thresholded_topk_graph", || {
-        WeightedGraph::from_similarity(&sim, 0.8, 3).unwrap()
+        WeightedGraph::from_similarity(&sim, -1.0).unwrap()
     });
 }
 

@@ -30,8 +30,8 @@ const DIM: usize = 40;
 const N_CONCEPTS: usize = 8;
 const VOCAB: usize = 400;
 const ALPHA: f32 = 0.6;
-const MIN_SIM: f32 = 1.5;
-const TOP_K: usize = 4;
+/// `PipelineConfig::default().graph_min_sim`, as in `benches/online.rs`.
+const MIN_SIM: f32 = -1.0;
 
 /// Owned serving-model state, synthetic (mirrors `benches/online.rs`).
 struct ServingModel {
@@ -62,14 +62,13 @@ impl ServingModel {
             alpha: ALPHA,
             tweet_combiner: Combiner::Avg,
             graph_min_sim: MIN_SIM,
-            graph_top_k: TOP_K,
         }
     }
 
     /// An engine over the model, its cut built from `x_total` the way
     /// `Pipeline::query_engine` builds it.
     fn engine(&self) -> QueryEngine<'_> {
-        let cut = CachedCut::new(&self.x_total, MIN_SIM, TOP_K).unwrap();
+        let cut = CachedCut::new(&self.x_total, MIN_SIM).unwrap();
         QueryEngine::new(self.model(), Arc::new(cut)).unwrap()
     }
 }

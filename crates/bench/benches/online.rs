@@ -1,17 +1,14 @@
 //! Benches for the online serving path: the legacy per-query
 //! rebuild (`link_query`: clone `X^Total` into an `(n+1)²` matrix,
 //! re-sparsify, re-sort, SW-MST) against the amortized [`QueryEngine`]
-//! (pre-normalized author rows + cached sorted cut backbone, per-query
-//! kernel row + merge).
+//! (pre-normalized author rows + cached forest backbone, per-query
+//! kernel row + output-sensitive cut).
 //!
 //! Grid: n ∈ {256, 1024, 4096} authors — bracketing the paper's
-//! 4 000-author regime — with d = 40 content dimensions and 8 concepts.
-//! The engine build (the one-time cost a legacy query used to pay every
-//! call) is timed separately. `engine_link_query_k0` serves the same
-//! query from a cut without lifelines (`graph_top_k = 0`, the threshold
-//! `soulmate fit` uses), whose backbone is a forest and which takes the
-//! output-sensitive cut instead of the merge. Recorded numbers live in
-//! `BENCH_online.json`.
+//! 4 000-author regime — with d = 40 content dimensions and 8 concepts,
+//! under the threshold `soulmate fit` uses. The engine build (the
+//! one-time cost a legacy query used to pay every call) is timed
+//! separately. Recorded numbers live in `BENCH_online.json`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,10 +29,8 @@ const DIM: usize = 40;
 const N_CONCEPTS: usize = 8;
 const VOCAB: usize = 400;
 const ALPHA: f32 = 0.6;
-const MIN_SIM: f32 = 1.5;
-const TOP_K: usize = 4;
-/// `PipelineConfig::default().graph_min_sim`, for the `top_k = 0` cut.
-const K0_MIN_SIM: f32 = -1.0;
+/// `PipelineConfig::default().graph_min_sim`.
+const MIN_SIM: f32 = -1.0;
 
 /// Owned serving-model state (what a fitted pipeline or loaded snapshot
 /// holds), built synthetically so the n = 4096 grid point doesn't require
@@ -68,25 +63,14 @@ impl ServingModel {
             alpha: ALPHA,
             tweet_combiner: Combiner::Avg,
             graph_min_sim: MIN_SIM,
-            graph_top_k: TOP_K,
         }
     }
 
     /// An engine over the model, its cut built from `x_total` the way
     /// `Pipeline::query_engine` builds it.
     fn engine(&self) -> QueryEngine<'_> {
-        self.engine_with(MIN_SIM, TOP_K)
-    }
-
-    /// [`ServingModel::engine`] under another graph rule.
-    fn engine_with(&self, min_sim: f32, top_k: usize) -> QueryEngine<'_> {
-        let model = QueryModel {
-            graph_min_sim: min_sim,
-            graph_top_k: top_k,
-            ..self.model()
-        };
-        let cut = CachedCut::new(&self.x_total, min_sim, top_k).unwrap();
-        QueryEngine::new(model, Arc::new(cut)).unwrap()
+        let cut = CachedCut::new(&self.x_total, MIN_SIM).unwrap();
+        QueryEngine::new(self.model(), Arc::new(cut)).unwrap()
     }
 }
 
@@ -164,7 +148,7 @@ fn bench_online() {
             black_box(link_query(&model, &serving.x_total, &tweets).unwrap())
         });
 
-        // One-time engine build (normalize rows, sparsify, sort).
+        // One-time engine build (normalize rows, backbone, sort).
         group.bench(format!("engine_build/{n}"), || black_box(serving.engine()));
 
         // The amortized serve.
@@ -177,12 +161,6 @@ fn bench_online() {
         // Batched serve: 8 queries, two Gram calls, one engine.
         group.bench(format!("engine_batch8/{n}"), || {
             black_box(engine.link_query_authors(&batch).unwrap())
-        });
-
-        // The amortized serve over a cut without lifelines.
-        let engine_k0 = serving.engine_with(K0_MIN_SIM, 0);
-        group.bench(format!("engine_link_query_k0/{n}"), || {
-            black_box(engine_k0.link_query_authors(&query).unwrap())
         });
     }
 }

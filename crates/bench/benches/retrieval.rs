@@ -27,22 +27,18 @@ const N_CONCEPTS: usize = 32;
 const VOCAB: usize = 400;
 const ALPHA: f32 = 0.6;
 const MIN_SIM: f32 = 2.5;
-const TOP_K: usize = 1;
-/// Similarity between paired authors in the synthetic `x_total` — far
-/// above both `MIN_SIM` and any fused query score (cosines z-scored with
-/// unit stats stay in [-2, 2]ish), so every node's cached rank-1
-/// similarity blocks the query from entering its top-k ranking.
+/// Similarity between paired authors in the synthetic `x_total`: above
+/// `MIN_SIM`, so every pair is a graph edge, while fused query scores
+/// (cosines z-scored with unit stats stay in [-2, 2]ish) stay below it.
 const PAIR_SIM: f32 = 3.0;
 
 /// Owned serving-model state, synthesized directly (no offline fit, no
 /// O(n²·d) similarity matrices) so the n = 16384 grid point stays cheap
 /// to set up: author vectors are community centers plus noise, and
-/// `x_total` pairs each author with one strong partner. The pairs give
-/// every node a realistic (high) cached rank-k similarity — a query links
-/// near its best candidates without rewriting thousands of rankings, the
-/// behaviour a fitted corpus shows — while keeping the cut replay cheap
-/// enough that the measurement isolates the candidate-scoring cost the
-/// two paths differ in.
+/// `x_total` pairs each author with one strong partner. The pairs give the
+/// cut a backbone of `n / 2` edges while keeping it cheap enough that the
+/// measurement isolates the candidate-scoring cost the two paths differ
+/// in.
 struct ServingModel {
     vocab: Vocabulary,
     tokenizer: TokenizerConfig,
@@ -69,14 +65,13 @@ impl ServingModel {
             alpha: ALPHA,
             tweet_combiner: Combiner::Avg,
             graph_min_sim: MIN_SIM,
-            graph_top_k: TOP_K,
         }
     }
 
     /// An engine over the model, its cut built from `x_total` the way
     /// `Pipeline::query_engine` builds it.
     fn engine(&self) -> QueryEngine<'_> {
-        let cut = CachedCut::new(&self.x_total, MIN_SIM, TOP_K).unwrap();
+        let cut = CachedCut::new(&self.x_total, MIN_SIM).unwrap();
         QueryEngine::new(self.model(), Arc::new(cut)).unwrap()
     }
 }
@@ -131,10 +126,10 @@ fn build_model(n: usize, seed: u64) -> ServingModel {
 }
 
 /// `x_total` with author `i` tied to partner `i ^ 1` at [`PAIR_SIM`] and
-/// every other entry 0. With `TOP_K = 1` each node's rank-1 similarity is
-/// `PAIR_SIM`, which no fused query score beats — so the per-query cut
-/// merges the base pair edges plus the query's own lifeline edge, the
-/// same O(E) replay both serving paths share.
+/// every other entry 0. The backbone is the `n / 2` pair edges, and no
+/// fused query score clears `MIN_SIM`, so the query earns no edge: its
+/// cut is the same O(n) pass on both serving paths (the pop loop runs to
+/// exhaustion and the query's component is the query alone).
 fn paired_x_total(n: usize) -> Vec<Vec<f32>> {
     let mut x: Vec<Vec<f32>> = vec![vec![0.0; n]; n];
     for (i, row) in x.iter_mut().enumerate() {

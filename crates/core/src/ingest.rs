@@ -12,7 +12,7 @@
 //!   ingested author's vectors are bit-identical to what a query with
 //!   the same tweets would compute), appended to the author rows and
 //!   handles, and spliced into the cached graph cut via
-//!   [`crate::engine::CachedCut::insert_author`] — `O(n·d + n·k + n log n)`
+//!   [`crate::engine::CachedCut::insert_author`] — `O(n·d + n log n)`
 //!   per author instead of a refit. No generation holds the `n²`
 //!   `X^Total`, so none is copied or grown, and the frozen vocabulary
 //!   and collective embedding are shared by every generation grown from
@@ -139,12 +139,13 @@ impl EngineGeneration {
     /// fused similarity row against the current rows (the query path's
     /// chunk-wise scoring + `fused_row_from_dots`, bit-identical to a
     /// query's row), grow the author rows and handles, and splice the new
-    /// edges into the cached cut — `O(n·d + n·k + n log n)`, nothing
-    /// `n²`. The quantized state is rebuilt (deterministic); an IVF index
-    /// is detached until the next refit. The new generation shares the frozen vocabulary and
-    /// collective embedding with this one, and every full chunk of its
-    /// author rows; it copies the packed handles, the cut's top-k
-    /// prefixes and at most one tail chunk (`TILE − 1` rows) per matrix.
+    /// edges into the cached cut — `O(n·d + n log n)`, nothing `n²`. The
+    /// quantized state is rebuilt (deterministic); an IVF index is
+    /// detached until the next refit. The new generation shares the
+    /// frozen vocabulary and collective embedding with this one, and every
+    /// full chunk of its author rows; it copies the packed handles and at
+    /// most one tail chunk (`TILE − 1` rows) per matrix, and the insert
+    /// builds the grown cut's backbone afresh.
     ///
     /// # Errors
     /// [`CoreError::Invalid`] when `batches` is empty or any author has
@@ -513,12 +514,7 @@ mod tests {
         x_total: &[Vec<f32>],
     ) -> QueryEngine<'a> {
         let snap = generation.snapshot();
-        let cut = CachedCut::new(
-            &grown_dense(x_total, snap),
-            snap.graph_min_sim,
-            snap.graph_top_k,
-        )
-        .unwrap();
+        let cut = CachedCut::new(&grown_dense(x_total, snap), snap.graph_min_sim).unwrap();
         QueryEngine::new(snap.query_model(), Arc::new(cut)).unwrap()
     }
 

@@ -66,8 +66,6 @@ pub struct QueryModel<'a> {
     pub tweet_combiner: Combiner,
     /// Graph sparsification: minimum similarity.
     pub graph_min_sim: f32,
-    /// Graph sparsification: per-node lifelines.
-    pub graph_top_k: usize,
 }
 
 /// The query author's raw and similarity-ready vectors, shared between the
@@ -251,7 +249,7 @@ pub fn link_query(
     qrow.push(1.0);
     extended.push(qrow);
 
-    let graph = WeightedGraph::from_similarity(&extended, model.graph_min_sim, model.graph_top_k)?;
+    let graph = WeightedGraph::from_similarity(&extended, model.graph_min_sim)?;
     let forest = swmst(&graph);
     let query_index = n;
     let subgraph = forest
@@ -285,7 +283,6 @@ impl Pipeline {
             alpha: self.config.alpha,
             tweet_combiner: self.config.tweet_combiner,
             graph_min_sim: self.config.graph_min_sim,
-            graph_top_k: self.config.graph_top_k,
         }
     }
 }

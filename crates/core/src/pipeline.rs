@@ -49,15 +49,14 @@ pub struct PipelineConfig {
     pub concept: ConceptConfig,
     /// Concept impact ratio α of Eq 17 (paper optimum 0.6).
     pub alpha: f32,
-    /// Graph sparsification: minimum fused similarity for an edge. The
-    /// fused score is the α-blend of two off-diagonal z-scores (Eq 17),
-    /// so the default −1.0 is not "keep everything": on `fast()` fits of
-    /// 120 and 400 synthetic authors it drops 11–13 % of author pairs
-    /// (no author lost every edge). Use `f32::NEG_INFINITY` for the
-    /// paper's fully connected graph.
+    /// Graph sparsification, the graph's one rule: authors share an edge
+    /// when their fused similarity is finite and at least this value
+    /// (DESIGN.md §10). The fused score is the α-blend of two
+    /// off-diagonal z-scores (Eq 17), so the default −1.0 is not "keep
+    /// everything": on `fast()` fits of 120 and 400 synthetic authors it
+    /// drops 11–13 % of author pairs (no author lost every edge). Use
+    /// `f32::NEG_INFINITY` for the paper's fully connected graph.
     pub graph_min_sim: f32,
-    /// Graph sparsification: per-node strongest-neighbour lifelines.
-    pub graph_top_k: usize,
 }
 
 impl Default for PipelineConfig {
@@ -72,7 +71,6 @@ impl Default for PipelineConfig {
             concept: ConceptConfig::default(),
             alpha: 0.6,
             graph_min_sim: -1.0,
-            graph_top_k: 0,
         }
     }
 }
@@ -264,7 +262,6 @@ impl Pipeline {
         Ok(WeightedGraph::from_similarity(
             sim,
             self.config.graph_min_sim,
-            self.config.graph_top_k,
         )?)
     }
 

@@ -41,19 +41,24 @@
 //!   downstream consumer is oblivious to quantization.
 //! * `ENC_EDGES` — the `backbone` section: `count u64`, then `count`
 //!   edges `(u u32, v u32, w f32)` in SW-MST pop order, `u < v`.
-//! * `ENC_TOPK` — the `topk` section: `n u64, k u64`, then per author
-//!   `len u32` and `len` pairs `(id u32, sim f32)`, strongest first.
+//! * `ENC_TOPK` — the `topk` section: `n u64, k u64`, then per author a
+//!   prefix length `len u32` and `len` pairs `(id u32, sim f32)`. It held
+//!   per-node top-k lifelines, which the graph no longer has: the writer
+//!   stores `k = 0` and `n` empty prefixes, and the reader refuses
+//!   anything else (DESIGN.md §16).
 //!
 //! ## Logical schemas
 //!
 //! Schema 3 (the only one written) carries the cached cut as `backbone`
-//! and `topk` and no `x_total`. Schemas 1–2 carried the dense `x_total`
-//! instead; the loader checks it as before, builds the cut from it and
-//! drops it. `--quantize` applies to the author matrices only, so the
-//! cut of a quantized file is the fitted one, bit for bit.
+//! (plus the empty `topk`) and no `x_total`. Schemas 1–2 carried the
+//! dense `x_total` instead; the loader checks it as before, builds the cut
+//! from it and drops it. Every schema's metadata names `graph_top_k`,
+//! and a file whose value is not 0 is refused. `--quantize` applies to
+//! the author matrices only, so the cut of a quantized file is the fitted
+//! one, bit for bit.
 use super::{
-    atomic_write, cut_from_dense, CombinerTag, Handles, PipelineSnapshot, DENSE_VERSION_MAX,
-    SNAPSHOT_VERSION, SNAPSHOT_VERSION_MIN,
+    atomic_write, check_no_lifelines, cut_from_dense, CombinerTag, Handles, PipelineSnapshot,
+    DENSE_VERSION_MAX, SNAPSHOT_VERSION, SNAPSHOT_VERSION_MIN,
 };
 use crate::engine::{max_backbone_edges, CachedCut};
 use crate::error::CoreError;
@@ -98,7 +103,7 @@ const KIND_X_TOTAL: u32 = 7;
 const KIND_INDEX: u32 = 8;
 /// The cut's backbone (schema 3).
 const KIND_BACKBONE: u32 = 9;
-/// The cut's top-k prefixes (schema 3).
+/// Per-author top-k prefixes (schema 3), always empty.
 const KIND_TOPK: u32 = 10;
 
 /// Section kinds every valid snapshot must carry, whatever its schema.
@@ -170,6 +175,8 @@ struct MetaSection {
     alpha: f32,
     tweet_combiner: CombinerTag,
     graph_min_sim: f32,
+    /// Per-node lifelines: the writer stores 0, and a reader refuses
+    /// anything else ([`check_no_lifelines`]).
     graph_top_k: usize,
     author_handles: Vec<String>,
     concept_means: Vec<f32>,
@@ -350,22 +357,17 @@ fn encode_backbone(cut: &CachedCut) -> Result<Vec<u8>, CoreError> {
     Ok(out)
 }
 
-/// The `topk` payload: every author's ranked prefix with its
-/// similarities (all empty when `top_k == 0`).
-fn encode_topk(cut: &CachedCut) -> Result<Vec<u8>, CoreError> {
-    let n = cut.n_authors();
-    let mut out = Vec::with_capacity(16 + n * (4 + cut.top_k().min(n) * 8));
+/// The `topk` payload: `n` authors, `k = 0`, and `n` empty prefixes —
+/// the layout every earlier schema-3 writer produced for a graph without
+/// lifelines, so model files stay byte-identical.
+fn encode_topk(n: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(16 + 4 * n);
     push_u64(&mut out, n as u64);
-    push_u64(&mut out, cut.top_k() as u64);
-    for i in 0..n {
-        let (ids, sims) = cut.prefix(i);
-        push_u32(&mut out, to_u32("top-k prefix length", ids.len())?);
-        for (&id, s) in ids.iter().zip(sims) {
-            push_u32(&mut out, to_u32("top-k id", id)?);
-            out.extend_from_slice(&s.to_le_bytes());
-        }
+    push_u64(&mut out, 0);
+    for _ in 0..n {
+        push_u32(&mut out, 0);
     }
-    Ok(out)
+    out
 }
 
 fn to_json<T: Serialize>(what: &'static str, value: &T) -> Result<Vec<u8>, CoreError> {
@@ -405,7 +407,7 @@ fn encode_sections(snap: &PipelineSnapshot, quantize: bool) -> Result<Vec<Sectio
         alpha: snap.alpha,
         tweet_combiner: snap.tweet_combiner,
         graph_min_sim: snap.graph_min_sim,
-        graph_top_k: snap.graph_top_k,
+        graph_top_k: 0,
         author_handles: snap.author_handles.iter().map(str::to_owned).collect(),
         concept_means: snap.concept_means.clone(),
         concept_stats: snap.concept_stats,
@@ -437,7 +439,7 @@ fn encode_sections(snap: &PipelineSnapshot, quantize: bool) -> Result<Vec<Sectio
         Section {
             kind: KIND_TOPK,
             encoding: ENC_TOPK,
-            payload: encode_topk(&snap.cut)?,
+            payload: encode_topk(snap.cut.n_authors()),
         },
         Section::matrix(
             KIND_AUTHOR_CONTENT,
@@ -464,10 +466,10 @@ impl PipelineSnapshot {
     /// ever holds a complete snapshot.
     ///
     /// The file is logical schema 3: the cached cut is stored as its
-    /// `backbone` and `topk` sections, never as a dense matrix. With
-    /// `quantize`, the author content/concept matrices are stored as
-    /// per-row i8 (`ENC_QI8`); the collective embedding, the centroids
-    /// and the cut always stay exact.
+    /// `backbone` section (beside an empty `topk` section), never as a
+    /// dense matrix. With `quantize`, the author content/concept matrices
+    /// are stored as per-row i8 (`ENC_QI8`); the collective embedding,
+    /// the centroids and the cut always stay exact.
     ///
     /// # Errors
     /// [`CoreError::Io`] for filesystem failures, [`CoreError::Invalid`] for
@@ -870,22 +872,22 @@ fn read_id(r: &mut ByteReader<'_>) -> Result<usize, CoreError> {
 }
 
 /// Decode the `backbone` and `topk` payloads of a schema-3 file into the
-/// cut over `n` authors. The edge count is checked against its
-/// `(n−1) + n·k` bound and the payload's exact size before any edge is
-/// allocated; [`CachedCut::from_parts`] checks the rest.
+/// cut over `n` authors. The edge count is checked against its `n − 1`
+/// bound and the payload's exact size before any edge is allocated;
+/// [`CachedCut::from_parts`] checks the rest. The `topk` payload must be
+/// the empty one the writer stores; nothing is sized from its lengths.
 fn decode_cut(
     backbone: &[u8],
     topk: &[u8],
     n: usize,
     min_sim: f32,
-    top_k: usize,
 ) -> Result<CachedCut, CoreError> {
     let mut r = ByteReader::new(backbone, "backbone");
     let count = r.len_u64()?;
-    let max_edges = max_backbone_edges(n, top_k);
+    let max_edges = max_backbone_edges(n);
     if count > max_edges {
         return Err(CoreError::Schema(format!(
-            "backbone section: {count} edges, more than (n-1)+n*k = {max_edges}"
+            "backbone section: {count} edges, more than n-1 = {max_edges}"
         )));
     }
     let need = count
@@ -906,28 +908,24 @@ fn decode_cut(
     }
 
     let mut r = ByteReader::new(topk, "topk");
-    let (stored_n, stored_k) = (r.len_u64()?, r.len_u64()?);
-    if stored_n != n || stored_k != top_k {
+    let (stored_n, stored_k) = (r.u64()?, r.u64()?);
+    if stored_n != n as u64 {
         return Err(CoreError::Schema(format!(
-            "topk section: {stored_n} authors and k = {stored_k}, the model has {n} and k = {top_k}"
+            "topk section: {stored_n} authors, the model has {n}"
         )));
     }
-    let mut prefixes = Vec::with_capacity(n);
+    if stored_k != 0 {
+        return Err(CoreError::Schema(format!(
+            "topk section: k = {stored_k}, but graph_top_k is 0"
+        )));
+    }
     for node in 0..n {
-        let len = r.u32()? as usize; // u32 widens losslessly into usize.
-        if len > top_k {
+        let len = r.u32()?;
+        if len != 0 {
             return Err(CoreError::Schema(format!(
-                "topk section: prefix of node {node} has {len} entries, longer than top_k = {top_k}"
+                "topk section: node {node} has {len} lifelines, but graph_top_k is 0"
             )));
         }
-        // Sized by the bytes actually left, never by the stored length.
-        let fits = len.min(r.remaining() / 8);
-        let (mut ids, mut sims) = (Vec::with_capacity(fits), Vec::with_capacity(fits));
-        for _ in 0..len {
-            ids.push(read_id(&mut r)?);
-            sims.push(read_f32(&mut r)?);
-        }
-        prefixes.push((ids, sims));
     }
     if r.remaining() != 0 {
         return Err(CoreError::Parse(format!(
@@ -935,7 +933,7 @@ fn decode_cut(
             r.remaining()
         )));
     }
-    CachedCut::from_parts(n, min_sim, top_k, edges, prefixes)
+    CachedCut::from_parts(n, min_sim, edges)
 }
 
 fn from_json<T: for<'de> Deserialize<'de>>(
@@ -1018,16 +1016,17 @@ pub fn load(path: &Path) -> Result<PipelineSnapshot, CoreError> {
     }
     let author_content =
         author_content.ok_or(CoreError::Internal("author_content section missing"))?;
+    check_no_lifelines(meta.graph_top_k)?;
     let n = author_content.rows();
-    let (min_sim, top_k) = (meta.graph_min_sim, meta.graph_top_k);
+    let min_sim = meta.graph_min_sim;
     // The table holds x_total or backbone + topk, never both
     // (`validate_entries`); the schema must name the one it holds.
     let cut = match (x_total, backbone, topk) {
         (Some(x), None, None) if meta.version <= DENSE_VERSION_MAX => {
-            cut_from_dense(&x, n, min_sim, top_k)?
+            cut_from_dense(&x, n, min_sim)?
         }
         (None, Some(b), Some(t)) if meta.version > DENSE_VERSION_MAX => {
-            decode_cut(&b, &t, n, min_sim, top_k)?
+            decode_cut(&b, &t, n, min_sim)?
         }
         _ => {
             return Err(CoreError::Schema(format!(
@@ -1058,7 +1057,6 @@ pub fn load(path: &Path) -> Result<PipelineSnapshot, CoreError> {
         alpha: meta.alpha,
         tweet_combiner: meta.tweet_combiner,
         graph_min_sim: meta.graph_min_sim,
-        graph_top_k: meta.graph_top_k,
         author_handles: Handles::from(meta.author_handles),
     };
     snapshot.validate()?;

@@ -5,9 +5,9 @@
 //! in the offline phase") implies the offline artifacts outlive a process.
 //! [`PipelineSnapshot`] captures exactly the state the online phase needs —
 //! vocabulary, collective embedding, concept centroids, author vectors and
-//! the cached graph cut over the fused similarity matrix (its backbone and
-//! top-k prefixes, `O(n + n·k)` instead of the `n²` matrix) — and writes
-//! it as one v3 binary container ([`PipelineSnapshot::save_binary`]). The
+//! the cached graph cut over the fused similarity matrix (its backbone,
+//! `O(n)` instead of the `n²` matrix) — and writes it as one v3 binary
+//! container ([`PipelineSnapshot::save_binary`]). The
 //! v1/v2 JSON files and schema-2 containers of earlier releases, which
 //! persisted the dense matrix, are only read ([`PipelineSnapshot::load`]
 //! builds their cut and drops the matrix) and migrated by re-saving. A
@@ -91,9 +91,9 @@ pub struct PipelineSnapshot {
     /// Off-diagonal (mean, std) of `X^Content` (fusion standardization).
     pub content_stats: (f32, f32),
     /// The cached graph cut over the fused author similarity matrix
-    /// `X^Total-α`: its backbone and each author's top-k prefix. Every
-    /// engine built from the snapshot shares it, so a serving generation
-    /// holds one copy and no `n²` state.
+    /// `X^Total-α`: its backbone. Every engine built from the snapshot
+    /// shares it, so a serving generation holds one copy and no `n²`
+    /// state.
     pub cut: Arc<CachedCut>,
     /// Concept impact ratio α.
     pub alpha: f32,
@@ -101,8 +101,6 @@ pub struct PipelineSnapshot {
     pub tweet_combiner: CombinerTag,
     /// Graph sparsification: minimum similarity.
     pub graph_min_sim: f32,
-    /// Graph sparsification: per-node lifelines.
-    pub graph_top_k: usize,
     /// Author display handles, index-aligned with the vectors.
     pub author_handles: Handles,
 }
@@ -128,13 +126,16 @@ struct JsonSnapshot {
     alpha: f32,
     tweet_combiner: CombinerTag,
     graph_min_sim: f32,
+    /// Per-node lifelines of earlier releases; only 0 loads
+    /// ([`check_no_lifelines`]).
     graph_top_k: usize,
     author_handles: Vec<String>,
 }
 
 /// Current logical snapshot schema version, stored in the v3 container's
-/// metadata section. Schema 3 persists the cached cut (`backbone` and
-/// `topk` sections) instead of the dense `x_total`.
+/// metadata section. Schema 3 persists the cached cut (the `backbone`
+/// section, beside an always-empty `topk` section) instead of the dense
+/// `x_total`.
 pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Newest schema that persisted the dense `x_total`: every JSON file
@@ -157,7 +158,6 @@ pub(crate) fn cut_from_dense(
     x_total: &[Vec<f32>],
     n: usize,
     min_sim: f32,
-    top_k: usize,
 ) -> Result<CachedCut, CoreError> {
     if x_total.len() != n || x_total.iter().any(|r| r.len() != n) {
         return Err(CoreError::Schema("x_total is not n x n".into()));
@@ -171,7 +171,23 @@ pub(crate) fn cut_from_dense(
             "x_total[{i}][{j}] is not finite"
         )));
     }
-    CachedCut::new(x_total, min_sim, top_k)
+    CachedCut::new(x_total, min_sim)
+}
+
+/// The graph has one rule, the similarity threshold: a file whose
+/// `graph_top_k` asks for per-node lifelines describes a graph this
+/// release does not build, so it is refused rather than served with a
+/// different cut. Every writer stored 0.
+///
+/// # Errors
+/// [`CoreError::Schema`] naming `graph_top_k` when it is not 0.
+pub(crate) fn check_no_lifelines(graph_top_k: usize) -> Result<(), CoreError> {
+    if graph_top_k == 0 {
+        return Ok(());
+    }
+    Err(CoreError::Schema(format!(
+        "graph_top_k {graph_top_k}: per-node lifelines are not supported, only 0 loads"
+    )))
 }
 
 /// Serde default for missing standardization stats (identity transform).
@@ -259,12 +275,12 @@ impl Pipeline {
     /// `author_handles` labels the rows (pass the dataset's handles, or an
     /// empty slice to auto-number).
     pub fn snapshot(&self, author_handles: &[String]) -> PipelineSnapshot {
-        let (min_sim, top_k) = (self.config.graph_min_sim, self.config.graph_top_k);
+        let min_sim = self.config.graph_min_sim;
         // `fit` always produces a square matrix. If the public field was
         // made ragged, the snapshot gets a cut over no authors, which
         // `validate` (and so every load) rejects.
-        let cut = CachedCut::new(&self.x_total, min_sim, top_k)
-            .unwrap_or_else(|_| CachedCut::empty(min_sim, top_k));
+        let cut =
+            CachedCut::new(&self.x_total, min_sim).unwrap_or_else(|_| CachedCut::empty(min_sim));
         let handles = if author_handles.len() == self.n_authors() {
             author_handles.iter().collect()
         } else {
@@ -287,7 +303,6 @@ impl Pipeline {
             alpha: self.config.alpha,
             tweet_combiner: self.config.tweet_combiner.into(),
             graph_min_sim: min_sim,
-            graph_top_k: top_k,
             author_handles: handles,
         }
     }
@@ -368,11 +383,11 @@ impl PipelineSnapshot {
                 json.version
             )));
         }
+        check_no_lifelines(json.graph_top_k)?;
         let cut = cut_from_dense(
             &json.x_total,
             json.author_content.rows(),
             json.graph_min_sim,
-            json.graph_top_k,
         )?;
         // The vocabulary's string→id index is skipped by serde.
         let mut vocab = json.vocab;
@@ -392,7 +407,6 @@ impl PipelineSnapshot {
             alpha: json.alpha,
             tweet_combiner: json.tweet_combiner,
             graph_min_sim: json.graph_min_sim,
-            graph_top_k: json.graph_top_k,
             author_handles: Handles::from(json.author_handles),
         };
         snapshot.validate()?;
@@ -422,15 +436,11 @@ impl PipelineSnapshot {
                 self.cut.n_authors()
             ));
         }
-        if self.cut.top_k() != self.graph_top_k
-            || self.cut.min_similarity().to_bits() != self.graph_min_sim.to_bits()
-        {
+        if self.cut.min_similarity().to_bits() != self.graph_min_sim.to_bits() {
             return schema(format!(
-                "cut built with min_sim {} and top_k {}, the model says {} and {}",
+                "cut built with min_sim {}, the model says {}",
                 self.cut.min_similarity(),
-                self.cut.top_k(),
-                self.graph_min_sim,
-                self.graph_top_k
+                self.graph_min_sim
             ));
         }
         if self.author_handles.len() != n {
@@ -515,7 +525,6 @@ impl PipelineSnapshot {
             alpha: self.alpha,
             tweet_combiner: self.tweet_combiner.into(),
             graph_min_sim: self.graph_min_sim,
-            graph_top_k: self.graph_top_k,
         }
     }
 }

@@ -8,9 +8,10 @@
 //! panic and never an allocation larger than the file itself. The harness
 //! forges corrupted containers by editing the section table and
 //! re-sealing the header checksum, exactly as an attacker with a hex
-//! editor would. The schema-3 cut sections (`backbone`, `topk`) are
-//! forged inside well-formed containers: their payloads are rewritten and
-//! every checksum resealed, so only the decoder's own checks stand.
+//! editor would. The schema-3 cut sections (`backbone`, `topk`) and the
+//! metadata's `graph_top_k` are forged inside the committed schema-3
+//! fixture: their payloads are rewritten and every checksum resealed, so
+//! only the decoder's own checks stand.
 
 mod common;
 
@@ -21,7 +22,7 @@ use soulmate_core::snapshot::binary::crc32;
 use soulmate_core::snapshot::PipelineSnapshot;
 use soulmate_core::EngineMode;
 use soulmate_corpus::{generate, GeneratorConfig, Timestamp};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Container prelude: magic (8) + version (4) + section count (4).
 const PRELUDE_LEN: usize = 16;
@@ -29,18 +30,15 @@ const PRELUDE_LEN: usize = 16;
 /// len u64, crc u32.
 const ENTRY_LEN: usize = 28;
 
-/// Section kinds of the schema-3 cut.
+/// Section kinds of the metadata and the schema-3 cut.
+const KIND_META: u32 = 1;
 const KIND_BACKBONE: u32 = 9;
 const KIND_TOPK: u32 = 10;
 
-/// Authors in the fitted model.
+/// Authors in the fitted model and in the committed fixtures.
 const N: usize = 14;
 
 fn fitted() -> (soulmate_corpus::Dataset, Pipeline) {
-    fitted_with(PipelineConfig::fast())
-}
-
-fn fitted_with(config: PipelineConfig) -> (soulmate_corpus::Dataset, Pipeline) {
     let d = generate(&GeneratorConfig {
         n_authors: N,
         n_communities: 3,
@@ -50,8 +48,15 @@ fn fitted_with(config: PipelineConfig) -> (soulmate_corpus::Dataset, Pipeline) {
         ..GeneratorConfig::small()
     })
     .unwrap();
-    let p = Pipeline::fit(&d, config).unwrap();
+    let p = Pipeline::fit(&d, PipelineConfig::fast()).unwrap();
     (d, p)
+}
+
+/// A committed legacy snapshot (see `tests/fixtures/README.md`).
+fn fixture(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name)
 }
 
 fn tmp(name: &str) -> PathBuf {
@@ -91,28 +96,28 @@ struct TableEntry {
 
 impl Container {
     fn build(quantize: bool) -> Container {
-        Container::from_fit(fitted().1, quantize)
-    }
-
-    /// A container whose graph is its `top_k` lifelines alone (no fused
-    /// similarity clears the threshold), so the backbone holds more than
-    /// a spanning tree and every prefix is non-empty.
-    fn build_top_k(top_k: usize) -> Container {
-        let config = PipelineConfig {
-            graph_top_k: top_k,
-            graph_min_sim: 10.0,
-            ..PipelineConfig::fast()
-        };
-        Container::from_fit(fitted_with(config).1, false)
-    }
-
-    fn from_fit(p: Pipeline, quantize: bool) -> Container {
-        let snap = p.snapshot(&[]);
+        let snap = fitted().1.snapshot(&[]);
         let path = tmp(if quantize { "build-q.bin" } else { "build.bin" });
         snap.save_binary(&path, quantize).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::remove_file(&path).ok();
         Container { bytes }
+    }
+
+    /// The committed schema-3 fixture, whose `topk` section is the empty
+    /// one every writer stores.
+    fn schema3_fixture() -> Container {
+        Container {
+            bytes: std::fs::read(fixture("v3_schema3.bin")).unwrap(),
+        }
+    }
+
+    /// The metadata JSON with its `"graph_top_k":0` set to `k`.
+    fn with_graph_top_k(&self, k: u64) -> Container {
+        let meta = String::from_utf8(self.payload(KIND_META)).unwrap();
+        assert!(meta.contains("\"graph_top_k\":0"), "{meta}");
+        let forged = meta.replace("\"graph_top_k\":0", &format!("\"graph_top_k\":{k}"));
+        self.with_payload(KIND_META, forged.into_bytes())
     }
 
     fn section_count(&self) -> usize {
@@ -508,53 +513,28 @@ fn edges_payload(count: u64, edges: &[RawEdge]) -> Vec<u8> {
     out
 }
 
-/// Every author's persisted prefix: `(id, sim)` pairs, strongest first.
-type Prefixes = Vec<Vec<(u32, f32)>>;
-
-/// The per-author prefixes of a `topk` payload, and its stored `k`.
-fn prefixes_of(payload: &[u8]) -> (u64, Prefixes) {
-    let word = |at: usize| u32::from_le_bytes(payload[at..at + 4].try_into().unwrap());
-    let n = u64::from_le_bytes(payload[0..8].try_into().unwrap());
-    let k = u64::from_le_bytes(payload[8..16].try_into().unwrap());
-    let mut at = 16;
-    let mut prefixes = Vec::new();
-    for _ in 0..n {
-        let len = word(at) as usize;
-        at += 4;
-        let prefix = (0..len)
-            .map(|i| (word(at + 8 * i), f32::from_bits(word(at + 8 * i + 4))))
-            .collect();
-        at += 8 * len;
-        prefixes.push(prefix);
-    }
-    assert_eq!(at, payload.len(), "the whole payload parsed");
-    (k, prefixes)
-}
-
-fn topk_payload(k: u64, prefixes: &[Vec<(u32, f32)>]) -> Vec<u8> {
-    let mut out = (prefixes.len() as u64).to_le_bytes().to_vec();
+/// A `topk` payload: `n` authors, its `k`, then one prefix length per
+/// author (each prefix holding `len` zeroed `(id, sim)` pairs).
+fn topk_payload(k: u64, lens: &[u32]) -> Vec<u8> {
+    let mut out = (lens.len() as u64).to_le_bytes().to_vec();
     out.extend_from_slice(&k.to_le_bytes());
-    for prefix in prefixes {
-        out.extend_from_slice(&(prefix.len() as u32).to_le_bytes());
-        for &(id, sim) in prefix {
-            out.extend_from_slice(&id.to_le_bytes());
-            out.extend_from_slice(&sim.to_le_bytes());
-        }
+    for &len in lens {
+        out.extend_from_slice(&len.to_le_bytes());
+        out.resize(out.len() + 8 * len as usize, 0);
     }
     out
 }
 
 #[test]
 fn forged_backbones_are_typed_errors() {
-    const K: usize = 2;
-    let base = Container::build_top_k(K);
+    let base = Container::schema3_fixture();
     assert!(base.load("bb-ctl.bin").is_ok(), "the control loads");
     let edges = edges_of(&base.payload(KIND_BACKBONE));
-    assert!(
-        edges.len() > N - 1,
-        "the top-k fit keeps lifelines beyond the spanning tree"
+    assert_eq!(
+        edges.len(),
+        N - 1,
+        "the fixture's forest spans every author"
     );
-    let bound = (N - 1) + N * K;
     let n = N as u32;
 
     let forge = |mutate: &dyn Fn(&mut Vec<RawEdge>)| -> Vec<u8> {
@@ -562,44 +542,72 @@ fn forged_backbones_are_typed_errors() {
         mutate(&mut e);
         edges_payload(e.len() as u64, &e)
     };
-    let weakest = edges.last().unwrap().2;
-    let cases: Vec<(&str, Vec<u8>)> = vec![
-        ("endpoint >= n", forge(&|e| e[0].1 = n)),
-        ("endpoint far out of range", forge(&|e| e[0].0 = u32::MAX)),
-        ("self-loop", forge(&|e| e[0].1 = e[0].0)),
+    // The duplicates first drop the weakest edge, so the n - 1 bound
+    // holds and the check under test is the one that fires.
+    let cases: Vec<(&str, &str, Vec<u8>)> = vec![
+        ("endpoint >= n", "out of range", forge(&|e| e[0].1 = n)),
+        (
+            "endpoint far out of range",
+            "out of range",
+            forge(&|e| e[0].0 = u32::MAX),
+        ),
+        ("self-loop", "self-loop", forge(&|e| e[0].1 = e[0].0)),
         (
             "endpoints reversed",
+            "u < v",
             forge(&|e| e[0] = (e[0].1, e[0].0, e[0].2)),
         ),
-        ("out of pop order", forge(&|e| e.swap(0, 1))),
-        ("duplicated edge", forge(&|e| e.insert(1, e[0]))),
+        ("out of pop order", "pop order", forge(&|e| e.swap(0, 1))),
+        (
+            "duplicated edge",
+            "pop order",
+            forge(&|e| {
+                e.pop();
+                e.insert(1, e[0]);
+            }),
+        ),
         (
             // The same pair again, weaker than every edge, keeps the pop
-            // order: only the pair check can catch it.
+            // order: only the forest check can catch it.
             "duplicated pair, new weight",
-            forge(&|e| e.push((e[0].0, e[0].1, weakest - 1.0))),
+            "cycle",
+            forge(&|e| {
+                let weakest = e.pop().unwrap().2;
+                e.push((e[0].0, e[0].1, weakest - 1.0));
+            }),
         ),
-        ("NaN weight", forge(&|e| e[0].2 = f32::NAN)),
-        ("+inf weight", forge(&|e| e[0].2 = f32::INFINITY)),
+        ("NaN weight", "not finite", forge(&|e| e[0].2 = f32::NAN)),
+        (
+            "+inf weight",
+            "not finite",
+            forge(&|e| e[0].2 = f32::INFINITY),
+        ),
         (
             "-inf weight",
+            "not finite",
             forge(&|e| e.last_mut().unwrap().2 = f32::NEG_INFINITY),
         ),
         (
-            "more than (n-1)+n*k edges",
+            "more than n-1 edges",
+            "n-1",
             forge(&|e| {
                 let extra = e[0];
-                e.resize(bound + 1, extra);
+                e.resize(N, extra);
             }),
         ),
         // A huge claimed count over a short payload is refused by the
         // bound before anything is sized from it.
-        ("claimed count u64::MAX", edges_payload(u64::MAX, &edges)),
+        (
+            "claimed count u64::MAX",
+            "n-1",
+            edges_payload(u64::MAX, &edges),
+        ),
         (
             "claimed count past the payload",
-            edges_payload(edges.len() as u64 + 1, &edges),
+            "bytes",
+            edges_payload(edges.len() as u64, &edges[1..]),
         ),
-        ("one byte short", {
+        ("one byte short", "bytes", {
             let mut p = forge(&|_| {});
             p.pop();
             p
@@ -608,134 +616,140 @@ fn forged_backbones_are_typed_errors() {
     // Control: re-sealing the untouched payload loads.
     let same = base.with_payload(KIND_BACKBONE, base.payload(KIND_BACKBONE));
     assert!(same.load("bb-same.bin").is_ok());
-    for (label, payload) in cases {
+    for (label, needle, payload) in cases {
         let err = base
             .with_payload(KIND_BACKBONE, payload)
             .load("bb.bin")
             .unwrap_err();
-        assert_class(&err, label);
+        assert_class(&err, label, needle);
     }
 }
 
 /// Payload-size mismatches are corruption (`Parse`); everything else a
-/// forged cut section can get wrong is structure (`Schema`).
-fn assert_class(err: &CoreError, label: &str) {
+/// forged cut section can get wrong is structure (`Schema`). Either way
+/// the message names what is wrong.
+fn assert_class(err: &CoreError, label: &str, needle: &str) {
     let parse = label.contains("byte") || label.contains("past the payload");
-    assert!(
-        if parse {
-            matches!(err, CoreError::Parse(_))
-        } else {
-            matches!(err, CoreError::Schema(_))
-        },
-        "{label}: gave {err:?}"
-    );
+    let message = match (parse, err) {
+        (true, CoreError::Parse(m)) | (false, CoreError::Schema(m)) => m,
+        _ => panic!("{label}: gave {err:?}"),
+    };
+    assert!(message.contains(needle), "{label}: {message}");
 }
 
 #[test]
-fn forged_topk_prefixes_are_typed_errors() {
-    const K: usize = 2;
-    let base = Container::build_top_k(K);
-    let (k, prefixes) = prefixes_of(&base.payload(KIND_TOPK));
-    assert_eq!(k, K as u64);
-    assert!(prefixes.iter().all(|p| p.len() == K));
-    let n = N as u32;
+fn forged_topk_sections_are_typed_errors() {
+    let base = Container::schema3_fixture();
+    // The committed section: n authors, k = 0, n empty prefixes.
+    let empty = vec![0u32; N];
+    assert_eq!(base.payload(KIND_TOPK), topk_payload(0, &empty));
 
-    let forge = |mutate: &dyn Fn(&mut Prefixes)| -> Vec<u8> {
-        let mut p = prefixes.clone();
-        mutate(&mut p);
-        topk_payload(k, &p)
+    let with_len = |node: usize, len: u32| -> Vec<u8> {
+        let mut lens = empty.clone();
+        lens[node] = len;
+        topk_payload(0, &lens)
     };
-    let cases: Vec<(&str, Vec<u8>)> = vec![
+    let cases: Vec<(&str, &str, Vec<u8>)> = vec![
+        ("k = 1", "graph_top_k", topk_payload(1, &empty)),
+        ("a non-empty prefix", "graph_top_k", with_len(3, 1)),
+        ("one author short", "authors", topk_payload(0, &empty[1..])),
         (
-            "prefix longer than top_k",
-            forge(&|p| {
-                let weakest = p[0][K - 1].1;
-                p[0].push((13, weakest - 1.0));
-            }),
+            "one author too many",
+            "authors",
+            topk_payload(0, &[0; N + 1]),
         ),
-        (
-            "prefix shorter than top_k",
-            forge(&|p| {
-                p[3].pop();
-            }),
-        ),
-        ("prefix id >= n", forge(&|p| p[0][0].0 = n)),
-        (
-            "prefix id far out of range",
-            forge(&|p| p[5][1].0 = u32::MAX),
-        ),
-        ("prefix names its own node", forge(&|p| p[2][0].0 = 2)),
-        ("prefix repeats an id", forge(&|p| p[0][1].0 = p[0][0].0)),
-        ("prefix out of rank order", forge(&|p| p[0].swap(0, 1))),
-        ("NaN similarity", forge(&|p| p[1][0].1 = f32::NAN)),
-        ("+inf similarity", forge(&|p| p[1][0].1 = f32::INFINITY)),
-        (
-            "one author short",
-            forge(&|p| {
-                p.pop();
-            }),
-        ),
-        ("one author too many", forge(&|p| p.push(p[0].clone()))),
-        (
-            "k disagrees with the metadata",
-            topk_payload(k + 1, &prefixes),
-        ),
-        ("trailing byte", {
-            let mut t = forge(&|_| {});
+        ("trailing byte", "trailing", {
+            let mut t = topk_payload(0, &empty);
             t.push(0);
             t
         }),
-        ("one byte short", {
-            let mut t = forge(&|_| {});
+        ("one byte short", "truncated", {
+            let mut t = topk_payload(0, &empty);
             t.pop();
             t
         }),
     ];
     let same = base.with_payload(KIND_TOPK, base.payload(KIND_TOPK));
     assert!(same.load("topk-same.bin").is_ok());
-    for (label, payload) in cases {
+    for (label, needle, payload) in cases {
         let err = base
             .with_payload(KIND_TOPK, payload)
             .load("topk.bin")
             .unwrap_err();
-        assert_class(&err, label);
+        assert_class(&err, label, needle);
     }
 }
 
 #[test]
 fn hostile_top_k_never_sizes_an_allocation() {
-    // A metadata top_k of u64::MAX lifts the (n-1)+n*k edge bound and
-    // the prefix-length bound to nothing; the decoder must still size
-    // every buffer from the bytes actually present.
-    let base = Container::build(false);
-    let meta = String::from_utf8(base.payload(1)).unwrap();
-    assert!(meta.contains("\"graph_top_k\":0"), "{meta}");
-    let hostile = meta.replace(
-        "\"graph_top_k\":0",
-        &format!("\"graph_top_k\":{}", u64::MAX),
-    );
-    let huge = base.with_payload(1, hostile.into_bytes());
-    // Control: the metadata parses, and the k = 0 prefixes no longer fit.
-    let err = huge.load("huge-k.bin").unwrap_err();
-    assert!(
-        matches!(&err, CoreError::Schema(m) if m.contains("top")),
-        "{err:?}"
-    );
-    // An edge count whose byte size overflows.
+    // Stored lengths that would size multi-gigabyte buffers if anything
+    // were allocated from them: each is refused before a buffer exists,
+    // so the test completes instead of aborting the process.
+    let base = Container::schema3_fixture();
+    let schema_naming = |err: CoreError, label: &str| {
+        assert!(
+            matches!(&err, CoreError::Schema(m) if m.contains("graph_top_k")),
+            "{label}: {err:?}"
+        );
+    };
+    // A metadata k of u64::MAX, alone and under a backbone claiming
+    // u64::MAX edges.
+    let huge = base.with_graph_top_k(u64::MAX);
+    schema_naming(huge.load("huge-k.bin").unwrap_err(), "metadata k");
     let err = huge
         .with_payload(KIND_BACKBONE, edges_payload(u64::MAX, &[]))
         .load("huge-count.bin")
         .unwrap_err();
-    assert_typed(&err, "edge count u64::MAX under k = u64::MAX");
+    schema_naming(err, "edge count u64::MAX under k = u64::MAX");
+    // A topk section claiming k = u64::MAX.
+    let err = base
+        .with_payload(KIND_TOPK, topk_payload(u64::MAX, &[0; N]))
+        .load("huge-topk-k.bin")
+        .unwrap_err();
+    schema_naming(err, "topk k = u64::MAX");
     // A prefix claiming u32::MAX entries over an empty tail.
     let mut topk = (N as u64).to_le_bytes().to_vec();
-    topk.extend_from_slice(&u64::MAX.to_le_bytes());
+    topk.extend_from_slice(&0u64.to_le_bytes());
     topk.extend_from_slice(&u32::MAX.to_le_bytes());
-    let err = huge
+    let err = base
         .with_payload(KIND_TOPK, topk)
         .load("huge-prefix.bin")
         .unwrap_err();
-    assert!(matches!(err, CoreError::Parse(_)), "{err:?}");
+    schema_naming(err, "prefix length u32::MAX");
+}
+
+/// Every schema names `graph_top_k` in its metadata, and only 0 loads:
+/// per-node lifelines describe a graph the cut does not build.
+#[test]
+fn nonzero_graph_top_k_is_refused_in_every_schema() {
+    let refused = |result: Result<PipelineSnapshot, CoreError>, label: &str| {
+        let err = result.unwrap_err();
+        assert!(
+            matches!(&err, CoreError::Schema(m) if m.contains("graph_top_k")),
+            "{label}: {err:?}"
+        );
+    };
+    // Schema 1 and 2 JSON files.
+    for name in ["v1.json", "v2_index.json"] {
+        let text = std::fs::read_to_string(fixture(name)).unwrap();
+        assert!(text.contains("\"graph_top_k\":0"), "{name}");
+        let path = tmp(name);
+        std::fs::write(
+            &path,
+            text.replace("\"graph_top_k\":0", "\"graph_top_k\":2"),
+        )
+        .unwrap();
+        refused(PipelineSnapshot::load(&path), name);
+        std::fs::remove_file(&path).ok();
+    }
+    // A schema-2 container (dense x_total) and the schema-3 fixture.
+    for name in ["v3_f32_index.bin", "v3_schema3.bin"] {
+        let c = Container {
+            bytes: std::fs::read(fixture(name)).unwrap(),
+        };
+        assert!(c.load(name).is_ok(), "{name}: the control loads");
+        refused(c.with_graph_top_k(1).load(name), name);
+    }
 }
 
 #[test]

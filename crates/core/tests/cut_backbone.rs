@@ -1,12 +1,12 @@
-//! Parity of the cached cut's backbone with the full sparsified graph.
+//! Parity of the cached cut's backbone with the full thresholded graph.
 //!
-//! `CachedCut` keeps only the base graph's maximum spanning forest plus
-//! its sub-threshold top-k lifelines. These tests pin that choice down
-//! against the definitions it replaces, over a seeded grid with heavy
-//! ties (quarter-step weights), NaN / ±inf and −0.0 entries:
+//! `CachedCut` keeps only the base graph's maximum spanning forest. These
+//! tests pin that choice down against the definitions it replaces, over
+//! a seeded grid with heavy ties (quarter-step weights), NaN / ±inf and
+//! −0.0 entries:
 //!
-//! * the stored edges are exactly `kruskal_max_forest(from_similarity(x))`
-//!   ∪ the edges that fail the threshold, in SW-MST pop order;
+//! * the stored edges are exactly `kruskal_max_forest(from_similarity(x))`,
+//!   in SW-MST pop order;
 //! * every dense and sparse query cut equals extend-and-rebuild, the
 //!   sparse one with its candidates ascending and reversed;
 //! * a chain of `insert_author` calls stays equal to `CachedCut::new`
@@ -96,34 +96,24 @@ fn bits(edges: &[Edge]) -> Vec<(usize, usize, u32)> {
     edges.iter().map(|e| (e.u, e.v, e.w.to_bits())).collect()
 }
 
-/// The edges `from_similarity` keeps only as top-k lifelines.
-#[allow(clippy::neg_cmp_op_on_partial_ord)]
-fn fails_threshold(w: f32, min_sim: f32) -> bool {
-    !(w >= min_sim)
-}
-
 /// What the backbone must be: the maximum spanning forest of the
-/// sparsified graph plus every edge that fails the threshold, deduped and
-/// in pop order.
-fn reference_backbone(x: &[Vec<f32>], min_sim: f32, top_k: usize) -> Vec<Edge> {
-    let graph = WeightedGraph::from_similarity(x, min_sim, top_k).unwrap();
+/// thresholded graph, in pop order.
+fn reference_backbone(x: &[Vec<f32>], min_sim: f32) -> Vec<Edge> {
+    let graph = WeightedGraph::from_similarity(x, min_sim).unwrap();
     let mut edges = kruskal_max_forest(&graph).edges().to_vec();
-    edges.extend(
-        graph
-            .edges()
-            .iter()
-            .filter(|e| fails_threshold(e.w, min_sim)),
-    );
     edges.sort_by(stack_pop_order);
-    edges.dedup_by(|a, b| (a.u, a.v) == (b.u, b.v));
     edges
 }
 
 /// The legacy cut: extend the matrix, rebuild, fully sort, SW-MST.
-fn reference_cut(x: &[Vec<f32>], sims: &[f32], min_sim: f32, top_k: usize) -> SpanningForest {
-    let graph = WeightedGraph::from_similarity(&extend(x, sims), min_sim, top_k).unwrap();
+fn reference_cut(x: &[Vec<f32>], sims: &[f32], min_sim: f32) -> SpanningForest {
+    let graph = WeightedGraph::from_similarity(&extend(x, sims), min_sim).unwrap();
     swmst(&graph)
 }
+
+/// Matrices drawn per size `n`, each under every threshold of
+/// [`min_sims`].
+const MATRICES_PER_SIZE: usize = 6;
 
 /// Thresholds to sweep. At −inf every score but NaN clears the
 /// threshold, −inf included, so only the finiteness filter keeps a
@@ -133,20 +123,20 @@ fn min_sims(rng: &mut SplitMix64) -> [f32; 4] {
 }
 
 #[test]
-fn stored_edges_are_the_forest_plus_sub_threshold_lifelines() {
+fn stored_edges_are_the_maximum_spanning_forest() {
     let mut rng = SplitMix64(0x5eed_0001);
     for n in 1..=40 {
-        for top_k in 0..=5 {
+        for draw in 0..MATRICES_PER_SIZE {
             let x = matrix(&mut rng, n);
             for min_sim in min_sims(&mut rng) {
-                let cut = CachedCut::new(&x, min_sim, top_k).unwrap();
-                let want = reference_backbone(&x, min_sim, top_k);
+                let cut = CachedCut::new(&x, min_sim).unwrap();
+                let want = reference_backbone(&x, min_sim);
                 assert_eq!(
                     bits(&want),
                     bits(cut.base_edges()),
-                    "n={n} k={top_k} min_sim={min_sim}"
+                    "n={n} draw={draw} min_sim={min_sim}"
                 );
-                assert!(cut.base_edges().len() <= n.saturating_sub(1) + n * top_k);
+                assert!(cut.base_edges().len() <= n.saturating_sub(1));
             }
         }
     }
@@ -156,13 +146,13 @@ fn stored_edges_are_the_forest_plus_sub_threshold_lifelines() {
 fn query_cuts_match_extend_and_rebuild() {
     let mut rng = SplitMix64(0x5eed_0002);
     for n in 1..=40 {
-        for top_k in 0..=5 {
+        for draw in 0..MATRICES_PER_SIZE {
             let x = matrix(&mut rng, n);
             for min_sim in min_sims(&mut rng) {
-                let cut = CachedCut::new(&x, min_sim, top_k).unwrap();
+                let cut = CachedCut::new(&x, min_sim).unwrap();
                 let sims: Vec<f32> = (0..n).map(|_| rng.weight()).collect();
-                let want = reference_cut(&x, &sims, min_sim, top_k);
-                let ctx = format!("n={n} k={top_k} min_sim={min_sim}");
+                let want = reference_cut(&x, &sims, min_sim);
+                let ctx = format!("n={n} draw={draw} min_sim={min_sim}");
 
                 let got = cut.cut_with_query_component(&sims).unwrap().0;
                 assert_eq!(bits(want.edges()), bits(got.edges()), "{ctx}");
@@ -181,7 +171,7 @@ fn query_cuts_match_extend_and_rebuild() {
                 for (&id, &s) in candidates.iter().zip(&cand_sims) {
                     dense[id as usize] = s;
                 }
-                let want = reference_cut(&x, &dense, min_sim, top_k);
+                let want = reference_cut(&x, &dense, min_sim);
                 let (forest, component) = cut
                     .cut_with_candidates_component(&candidates, &cand_sims)
                     .unwrap();
@@ -211,72 +201,27 @@ fn query_cuts_match_extend_and_rebuild() {
 }
 
 #[test]
-fn displaced_forest_edge_is_replaced_by_a_stored_lifeline() {
-    // Nothing clears min_sim = 1.0 off the diagonal, so every base edge is
-    // a top-2 lifeline. The query enters the top-2 of nodes 1, 4 and 5 and
-    // displaces (1, 3), (0, 4) and (2, 5), at least one of them a base
-    // forest edge; the cut of the grown graph then reconnects through
-    // (2, 3), a lifeline that is *not* in the base forest. A cut that kept
-    // only the base forest would miss it.
-    let x = vec![
-        vec![1.0, 0.875, -0.375, 0.875, 0.75, -0.125],
-        vec![0.875, 1.0, -0.5, 0.0, -0.125, -1.0],
-        vec![-0.375, -0.5, 1.0, 0.75, 0.875, 0.125],
-        vec![0.875, 0.0, 0.75, 1.0, 0.375, 0.375],
-        vec![0.75, -0.125, 0.875, 0.375, 1.0, -1.0],
-        vec![-0.125, -1.0, 0.125, 0.375, -1.0, 1.0],
-    ];
-    let sims = [0.5, 0.375, 0.375, 0.5, 1.0, 0.5];
-    let (min_sim, top_k) = (1.0, 2);
-    let lifeline = (2, 3);
-
-    let base = WeightedGraph::from_similarity(&x, min_sim, top_k).unwrap();
-    let base_forest = kruskal_max_forest(&base);
-    let grown = WeightedGraph::from_similarity(&extend(&x, &sims), min_sim, top_k).unwrap();
-    let pair = |e: &Edge| (e.u, e.v);
-    let displaced: Vec<Edge> = base
-        .edges()
-        .iter()
-        .filter(|e| !grown.edges().iter().any(|g| pair(g) == pair(e)))
-        .copied()
-        .collect();
-    assert!(
-        displaced.iter().any(|d| base_forest.edges().contains(d)),
-        "the query must displace a base forest edge"
-    );
-    assert!(!base_forest.edges().iter().any(|e| pair(e) == lifeline));
-
-    let cut = CachedCut::new(&x, min_sim, top_k).unwrap();
-    assert!(cut.base_edges().iter().any(|e| pair(e) == lifeline));
-    let want = reference_cut(&x, &sims, min_sim, top_k);
-    assert!(want.edges().iter().any(|e| pair(e) == lifeline));
-    let got = cut.cut_with_query_component(&sims).unwrap().0;
-    assert_eq!(bits(want.edges()), bits(got.edges()));
-    assert_eq!(want.components(), got.components());
-}
-
-#[test]
 fn insert_chain_matches_rebuild_at_every_step() {
     let mut rng = SplitMix64(0x5eed_0003);
-    for (min_sim, top_k) in [(0.5f32, 0usize), (-2.0, 0), (1.0, 1), (0.25, 3), (10.0, 5)] {
+    for min_sim in [0.5f32, -2.0, 1.0, 0.25, 10.0] {
         let mut x = matrix(&mut rng, 3);
-        let mut cut = CachedCut::new(&x, min_sim, top_k).unwrap();
+        let mut cut = CachedCut::new(&x, min_sim).unwrap();
         for step in 0..100 {
             let n = x.len();
             let sims: Vec<f32> = (0..n).map(|_| rng.weight()).collect();
             x = extend(&x, &sims);
             cut.insert_author(&sims).unwrap();
 
-            let ctx = format!("min_sim={min_sim} k={top_k} step={step}");
-            let rebuilt = CachedCut::new(&x, min_sim, top_k).unwrap();
+            let ctx = format!("min_sim={min_sim} step={step}");
+            let rebuilt = CachedCut::new(&x, min_sim).unwrap();
             assert_eq!(rebuilt.n_authors(), cut.n_authors(), "{ctx}");
             assert_eq!(bits(rebuilt.base_edges()), bits(cut.base_edges()), "{ctx}");
             assert_eq!(
-                bits(&reference_backbone(&x, min_sim, top_k)),
+                bits(&reference_backbone(&x, min_sim)),
                 bits(cut.base_edges()),
                 "{ctx}"
             );
-            // Same top-k caches too: a probe query cuts identically.
+            // The grown cut serves too: a probe query cuts identically.
             let probe: Vec<f32> = (0..=n).map(|_| rng.weight()).collect();
             assert_eq!(
                 bits(rebuilt.cut_with_query_component(&probe).unwrap().0.edges()),

@@ -401,7 +401,7 @@ fn nan_and_inf_similarity_rows_never_panic_the_cut() {
         vec![0.4, 1.0, f32::INFINITY],
         vec![f32::NAN, f32::INFINITY, 1.0],
     ];
-    let cut = CachedCut::new(&x, 0.2, 2).unwrap();
+    let cut = CachedCut::new(&x, 0.2).unwrap();
     for sims in [
         vec![f32::NAN, f32::NAN, f32::NAN],
         vec![f32::INFINITY, f32::NEG_INFINITY, 0.5],
@@ -420,7 +420,7 @@ fn nan_and_inf_similarity_rows_never_panic_the_cut() {
 #[test]
 fn mis_sized_similarity_rows_are_invalid_errors() {
     let x = vec![vec![1.0, 0.3], vec![0.3, 1.0]];
-    let cut = CachedCut::new(&x, 0.0, 1).unwrap();
+    let cut = CachedCut::new(&x, 0.0).unwrap();
     for bad in [0usize, 1, 3, 64] {
         let sims = vec![0.5; bad];
         let err = cut.cut_with_query_component(&sims).unwrap_err();
@@ -431,7 +431,7 @@ fn mis_sized_similarity_rows_are_invalid_errors() {
     }
     // Ragged base matrices are typed errors too.
     let ragged = vec![vec![1.0, 0.3], vec![0.3]];
-    assert!(CachedCut::new(&ragged, 0.0, 1).is_err());
+    assert!(CachedCut::new(&ragged, 0.0).is_err());
 }
 
 // ---------------------------------------------------------------------
@@ -522,8 +522,7 @@ fn valid_snapshot_roundtrip_serves_bit_for_bit() {
 
 #[test]
 fn cyclic_forest_backbone_is_a_schema_error() {
-    // The committed schema-3 fixture has no lifelines (top_k = 0), so
-    // its backbone must be a forest: the output-sensitive cut reads the
+    // A backbone must be a forest: the output-sensitive cut reads the
     // query's component off the forest's adjacency. Forge a cycle that
     // every other check passes: drop the weakest edge (staying within
     // the n - 1 bound), then close a cycle inside one tree with a new

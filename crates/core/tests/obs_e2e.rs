@@ -5,7 +5,6 @@
 //! The registry is shared across every test in the process, so all
 //! assertions are presence / monotone-growth checks, never exact totals.
 
-use soulmate_core::engine::CachedCut;
 use soulmate_core::{EngineMode, Pipeline, PipelineConfig};
 use soulmate_corpus::{generate, GeneratorConfig, Timestamp};
 
@@ -70,17 +69,6 @@ fn fit_and_query_populate_expected_metric_names() {
         .expect("per-query latency histogram");
     assert!(latency.count >= 1);
     assert!(obs.counter("engine.queries") > queries_before);
-    // The fitted model has no lifelines (`graph_top_k == 0`), so its
-    // cut counts the edges it examines and never a displacement.
-    let examined = obs.counter("engine.edges_examined");
-    assert!(examined >= 1);
-
-    // A cut with lifelines takes the merge path, which counts both.
-    // Displacements may legitimately be zero; the counter just has to
-    // exist in the export.
-    let x = vec![vec![1.0, 0.5], vec![0.5, 1.0]];
-    let cut = CachedCut::new(&x, 0.75, 1).unwrap();
-    cut.cut_with_query_component(&[0.9, 0.1]).unwrap();
-    assert!(obs.counter("engine.edges_examined") > examined);
-    assert!(obs.names().iter().any(|n| n == "engine.topk_displaced"));
+    // The cut counts the edges it examines.
+    assert!(obs.counter("engine.edges_examined") >= 1);
 }

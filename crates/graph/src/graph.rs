@@ -16,9 +16,9 @@ pub struct Edge {
 /// An undirected weighted graph over dense node ids `0..n`.
 ///
 /// The author-linking pipeline builds it from an `n x n` similarity matrix;
-/// [`WeightedGraph::from_similarity`] offers threshold and per-node top-k
-/// sparsification, since a fully connected 400-node graph has ~80 K edges
-/// of which the weak majority only slow the spanning-tree cut down.
+/// [`WeightedGraph::from_similarity`] sparsifies by a similarity
+/// threshold, since a fully connected 400-node graph has ~80 K edges of
+/// which the weak majority only slow the spanning-tree cut down.
 #[derive(Debug, Clone)]
 pub struct WeightedGraph {
     n: usize,
@@ -57,70 +57,29 @@ impl WeightedGraph {
         Ok(())
     }
 
-    /// Build from a full symmetric similarity matrix (`sim[i][j]`).
+    /// Build from a full symmetric similarity matrix (`sim[i][j]`, read
+    /// from the upper triangle).
     ///
-    /// Keeps edge `(i, j)` when `sim >= min_similarity` **or** `j` is among
-    /// `i`'s `top_k` strongest neighbours (so every node keeps a lifeline
-    /// into the graph even under aggressive thresholds).
+    /// Keeps edge `(i, j)` when `sim[i][j]` is finite and
+    /// `sim[i][j] >= min_similarity`. A NaN similarity (all-OOV author)
+    /// never clears the threshold, and an infinite one is dropped, so
+    /// every weight in the graph is finite.
     ///
     /// # Errors
     /// [`GraphError::NotSquare`] when the matrix is ragged.
-    // Every row is verified to have length `n` before the loops below, and
-    // `keep` is allocated `n * n`; all indices are `i, j < n`, so the
-    // unchecked indexing in these hot sparsification loops cannot panic.
-    #[allow(clippy::indexing_slicing)]
-    pub fn from_similarity(
-        sim: &[Vec<f32>],
-        min_similarity: f32,
-        top_k: usize,
-    ) -> Result<Self, GraphError> {
+    pub fn from_similarity(sim: &[Vec<f32>], min_similarity: f32) -> Result<Self, GraphError> {
         let n = sim.len();
-        for row in sim {
-            if row.len() != n {
-                return Err(GraphError::NotSquare {
-                    rows: n,
-                    cols: row.len(),
-                });
-            }
-        }
-        let mut keep = vec![false; n * n];
-        for i in 0..n {
-            // Threshold rule.
-            for j in (i + 1)..n {
-                if sim[i][j] >= min_similarity {
-                    keep[i * n + j] = true;
-                }
-            }
-            // Top-k lifeline rule: similarity descending under the total
-            // order, ties by ascending index — the ranking a stable
-            // descending sort would produce, but the index tie-break makes
-            // keys unique, so an O(n) selection yields the identical top-k
-            // set without the O(n log n) full row sort. A NaN similarity
-            // (all-OOV author) ranks instead of panicking — the
-            // finite-weight filter below still keeps NaN edges out of the
-            // graph.
-            if top_k > 0 && n > 1 {
-                let mut neighbours: Vec<usize> = (0..n).filter(|&j| j != i).collect();
-                let cmp = |&a: &usize, &b: &usize| sim[i][b].total_cmp(&sim[i][a]).then(a.cmp(&b));
-                if neighbours.len() > top_k {
-                    neighbours.select_nth_unstable_by(top_k - 1, cmp);
-                    neighbours.truncate(top_k);
-                }
-                for &j in &neighbours {
-                    let (a, b) = (i.min(j), i.max(j));
-                    keep[a * n + b] = true;
-                }
-            }
+        if let Some(row) = sim.iter().find(|row| row.len() != n) {
+            return Err(GraphError::NotSquare {
+                rows: n,
+                cols: row.len(),
+            });
         }
         let mut g = WeightedGraph::new(n);
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if keep[i * n + j] && sim[i][j].is_finite() {
-                    g.edges.push(Edge {
-                        u: i,
-                        v: j,
-                        w: sim[i][j],
-                    });
+        for (i, row) in sim.iter().enumerate() {
+            for (j, &w) in row.iter().enumerate().skip(i + 1) {
+                if w.is_finite() && w >= min_similarity {
+                    g.edges.push(Edge { u: i, v: j, w });
                 }
             }
         }
@@ -183,24 +142,16 @@ mod tests {
 
     #[test]
     fn from_similarity_threshold_only() {
-        let g = WeightedGraph::from_similarity(&sim3(), 0.5, 0).unwrap();
+        let g = WeightedGraph::from_similarity(&sim3(), 0.5).unwrap();
         assert_eq!(g.n_edges(), 1);
         assert_eq!(g.edges()[0], Edge { u: 0, v: 1, w: 0.9 });
-    }
-
-    #[test]
-    fn from_similarity_topk_keeps_lifelines() {
-        let g = WeightedGraph::from_similarity(&sim3(), 0.5, 1).unwrap();
-        // Node 2's best neighbour (1, sim 0.2) must be kept.
-        assert!(g.edges().iter().any(|e| e.u == 1 && e.v == 2));
-        assert_eq!(g.n_edges(), 2);
     }
 
     #[test]
     fn from_similarity_rejects_ragged() {
         let bad = vec![vec![1.0, 0.5], vec![0.5]];
         assert!(matches!(
-            WeightedGraph::from_similarity(&bad, 0.0, 0),
+            WeightedGraph::from_similarity(&bad, 0.0),
             Err(GraphError::NotSquare { .. })
         ));
     }
@@ -217,13 +168,13 @@ mod tests {
     #[test]
     fn from_similarity_tolerates_nan_rows() {
         // An author with no usable content can produce a NaN similarity
-        // row; the top-k sort must not panic and NaN edges must be dropped.
+        // row; its edges must be dropped, even under a -inf threshold.
         let sim = vec![
             vec![1.0, f32::NAN, 0.4],
             vec![f32::NAN, 1.0, f32::NAN],
             vec![0.4, f32::NAN, 1.0],
         ];
-        let g = WeightedGraph::from_similarity(&sim, f32::NEG_INFINITY, 2).unwrap();
+        let g = WeightedGraph::from_similarity(&sim, f32::NEG_INFINITY).unwrap();
         assert!(g.edges().iter().all(|e| e.w.is_finite()));
         assert_eq!(g.n_edges(), 1);
         assert_eq!(g.edges()[0], Edge { u: 0, v: 2, w: 0.4 });
@@ -231,7 +182,7 @@ mod tests {
 
     #[test]
     fn zero_threshold_full_graph() {
-        let g = WeightedGraph::from_similarity(&sim3(), f32::NEG_INFINITY, 0).unwrap();
+        let g = WeightedGraph::from_similarity(&sim3(), f32::NEG_INFINITY).unwrap();
         assert_eq!(g.n_edges(), 3);
     }
 }

@@ -2,15 +2,15 @@
 //! graph cut (Problem 3; Section 4.2.2, Algorithm 1).
 //!
 //! * [`WeightedGraph`] — undirected weighted graph over dense node ids,
-//!   buildable from a full similarity matrix with threshold/top-k
+//!   buildable from a full similarity matrix with threshold
 //!   sparsification;
 //! * [`swmst()`] — the paper's SW-MST (Algorithm 1): edges pushed onto a
 //!   stack in ascending weight order, popped (descending) and accumulated
 //!   until every node is covered; the resulting forest's connected
 //!   components are the linked-author subgraphs;
 //! * [`swmst_from_sorted`] — the pop loop alone, for callers that keep an
-//!   edge list already in [`stack_pop_order`] (the online query engine
-//!   merges per-query edges into a cached sorted base list);
+//!   edge list already in [`stack_pop_order`] (the CLI's `subgraphs` runs
+//!   it over a snapshot's cached backbone);
 //! * [`kruskal_max_forest`] — the classical maximum-spanning-forest
 //!   reference (used to cross-check SW-MST and in the ablation bench);
 //! * [`SpanningForest`] — shared result type with component extraction and
@@ -42,7 +42,5 @@ pub use error::GraphError;
 pub use forest::SpanningForest;
 pub use graph::{Edge, WeightedGraph};
 pub use kruskal::kruskal_max_forest;
-pub use swmst::{
-    stack_pop_order, swmst, swmst_from_sorted, swmst_from_sorted_with_component, swmst_literal,
-};
+pub use swmst::{stack_pop_order, swmst, swmst_from_sorted, swmst_literal};
 pub use unionfind::UnionFind;

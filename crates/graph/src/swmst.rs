@@ -43,57 +43,19 @@ pub fn stack_pop_order(a: &Edge, b: &Edge) -> Ordering {
 /// pop loop of Algorithm 1 without the O(E log E) sort.
 ///
 /// This is the entry point for callers that keep a sorted edge list alive
-/// across many runs — the online `QueryEngine` merges a query's few edges
-/// into its cached sorted backbone (the base graph's maximum spanning
-/// forest plus its sub-threshold lifelines) instead of re-sorting the
-/// whole graph per query. The iterator is consumed lazily, so early
+/// across runs — the CLI's `subgraphs` command runs it over a snapshot's
+/// cached backbone (the base graph's maximum spanning forest) instead of
+/// re-sorting the whole graph. The iterator is consumed lazily, so early
 /// termination (full node coverage) skips the weak tail entirely.
 ///
 /// Feeding edges out of order silently produces a different (non-SW-MST)
 /// forest; order is the caller's contract. Edges with an endpoint outside
 /// `0..n` (possible only for hand-built edge lists — [`WeightedGraph`]
 /// validates on insert) are dropped rather than panicking.
-pub fn swmst_from_sorted<I>(n: usize, edges: I) -> SpanningForest
-where
-    I: IntoIterator<Item = Edge>,
-{
-    let (selected, _) = pop_loop(n, edges);
-    SpanningForest::new(n, selected)
-}
-
-/// [`swmst_from_sorted`] fused with the query-subgraph lookup: returns the
-/// forest *and* the component containing `query` (sorted ascending), or
-/// `None` for the component when `query >= n`.
-///
-/// Equivalent to `swmst_from_sorted(n, edges)` followed by
-/// [`SpanningForest::query_subgraph`], but reads the component straight
-/// out of the pop loop's own union-find instead of re-unioning the
-/// selected edges a second time — the online serving path runs this once
-/// per query, where the redundant pass dominated post-scoring latency.
-pub fn swmst_from_sorted_with_component<I>(
-    n: usize,
-    edges: I,
-    query: usize,
-) -> (SpanningForest, Option<Vec<usize>>)
-where
-    I: IntoIterator<Item = Edge>,
-{
-    let (selected, mut uf) = pop_loop(n, edges);
-    let component = (query < n).then(|| {
-        let root = uf.find(query);
-        (0..n).filter(|&v| uf.find(v) == root).collect()
-    });
-    (SpanningForest::new(n, selected), component)
-}
-
-/// The pop loop of Algorithm 1 shared by both `from_sorted` entry points:
-/// consumes edges strongest-first until every node is covered, returning
-/// the selected edges and the union-find whose partition is exactly the
-/// selected forest's components.
 // Indexing below is in-bounds by the explicit `u/v < n` guard on every
 // edge before it is touched.
 #[allow(clippy::indexing_slicing)]
-fn pop_loop<I>(n: usize, edges: I) -> (Vec<Edge>, UnionFind)
+pub fn swmst_from_sorted<I>(n: usize, edges: I) -> SpanningForest
 where
     I: IntoIterator<Item = Edge>,
 {
@@ -127,7 +89,7 @@ where
             }
         }
     }
-    (selected, uf)
+    SpanningForest::new(n, selected)
 }
 
 /// Run SW-MST on `graph`; returns the spanning forest `G'`.
@@ -309,33 +271,6 @@ mod tests {
             let a = swmst(&g);
             let b = swmst_from_sorted(n, sorted);
             assert_eq!(a.edges(), b.edges());
-        }
-    }
-
-    #[test]
-    fn from_sorted_with_component_matches_query_subgraph() {
-        let mut rng = StdRng::seed_from_u64(23);
-        for _ in 0..20 {
-            let n = rng.gen_range(2..14);
-            let mut g = WeightedGraph::new(n);
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    if rng.gen_bool(0.4) {
-                        g.add_edge(i, j, rng.gen_range(0.0..1.0)).unwrap();
-                    }
-                }
-            }
-            let mut sorted = g.edges().to_vec();
-            sorted.sort_by(stack_pop_order);
-            for query in 0..n {
-                let (forest, component) =
-                    swmst_from_sorted_with_component(n, sorted.clone(), query);
-                let reference = swmst_from_sorted(n, sorted.clone());
-                assert_eq!(forest.edges(), reference.edges());
-                assert_eq!(component, reference.query_subgraph(query));
-            }
-            let (_, out_of_range) = swmst_from_sorted_with_component(n, sorted.clone(), n);
-            assert_eq!(out_of_range, None);
         }
     }
 
