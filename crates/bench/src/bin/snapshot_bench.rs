@@ -4,7 +4,9 @@
 //! produces — and measures:
 //!
 //!   * file size per encoding;
-//!   * cold-load wall time per encoding over several repetitions;
+//!   * cold-load wall time per encoding over several repetitions, and
+//!     its split over the loader's stages (read, checksum, decode,
+//!     assemble), from the `snapshot.load_binary.*.seconds` histograms;
 //!   * per-query serving latency, exact f32 path vs i8 fast path;
 //!   * quantized recall@10 against the exact ranking, via the eval
 //!     harness (`soulmate_eval::quant_recall_at_k`) at the engine's
@@ -28,7 +30,13 @@ struct Format {
     bytes: u64,
     load_best_s: f64,
     load_mean_s: f64,
+    /// Mean seconds per load of each [`STAGES`] entry.
+    stage_mean_s: Vec<f64>,
 }
+
+/// The binary loader's stages, each timed under
+/// `snapshot.load_binary.<stage>.seconds`.
+const STAGES: [&str; 4] = ["read", "checksum", "decode", "assemble"];
 
 fn main() {
     let mut authors = 4096usize;
@@ -73,19 +81,37 @@ fn main() {
     let mut formats = Vec::new();
     for (name, path) in [("binary_f32", &bin_path), ("binary_qi8", &qbin_path)] {
         let bytes = std::fs::metadata(path).expect("snapshot written").len();
+        let obs = soulmate_obs::global();
+        obs.clear();
         let (load_best_s, load_mean_s) =
             timing::best_and_mean(&format!("{name} load"), reps, || {
                 PipelineSnapshot::load(path).expect("snapshot loads")
             });
+        // Means over every load since the clear, the warm-up included.
+        let stage_mean_s: Vec<f64> = STAGES
+            .iter()
+            .map(|stage| {
+                obs.histogram(&format!("snapshot.load_binary.{stage}.seconds"))
+                    .map_or(0.0, |h| h.mean)
+            })
+            .collect();
+        let split: Vec<String> = STAGES
+            .iter()
+            .zip(&stage_mean_s)
+            .map(|(stage, s)| format!("{stage} {:.3}ms", s * 1e3))
+            .collect();
         eprintln!(
-            "{name:>10}: {bytes:>12} bytes, load best {:.3}s mean {:.3}s over {reps} reps",
-            load_best_s, load_mean_s
+            "{name:>10}: {bytes:>12} bytes, load best {:.4}s mean {:.4}s over {reps} reps; stages: {}",
+            load_best_s,
+            load_mean_s,
+            split.join(", ")
         );
         formats.push(Format {
             name,
             bytes,
             load_best_s,
             load_mean_s,
+            stage_mean_s,
         });
     }
     // The same 5-tweet in-vocabulary query shape BENCH_online and
@@ -242,7 +268,7 @@ fn render_json(
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(
-        "  \"description\": \"Snapshot encodings: one fitted pipeline saved as v3 binary (logical schema 3: the cached cut's backbone and top-k prefixes, no dense x_total) with f32 sections and with i8-quantized author matrices. Load times are best/mean of page-cache-warm PipelineSnapshot::load repetitions (parse + validate cost). Query latency compares the exact f32 engine path with the i8 fast path at the default re-rank depth over the same rotating 5-tweet queries. recall_at_10 is soulmate_eval::quant_recall_at_k (i8 candidates, exact re-rank); stored_recall_at_10 ranks through the dequantized saved container with no re-rank stage. The cut is never quantized (stored_cut_exact), so stored_recall_at_10 covers all of a qi8 file's error; schema-2 qi8 files also quantized x_total, which moved their cut but not this ranking.\",\n",
+        "  \"description\": \"Snapshot encodings: one fitted pipeline saved as v3 binary (logical schema 3: the cached cut's backbone beside an always-empty topk section, no dense x_total) with f32 sections and with i8-quantized author matrices. Load times are best/mean of page-cache-warm PipelineSnapshot::load repetitions (parse + validate cost); stage_mean_s splits the mean load over the binary loader's stages (snapshot.load_binary.{read,checksum,decode,assemble}.seconds, the untimed warm-up load included). Query latency compares the exact f32 engine path with the i8 fast path at the default re-rank depth over the same rotating 5-tweet queries. recall_at_10 is soulmate_eval::quant_recall_at_k (i8 candidates, exact re-rank); stored_recall_at_10 ranks through the dequantized saved container with no re-rank stage. The cut is never quantized (stored_cut_exact), so stored_recall_at_10 covers all of a qi8 file's error; schema-2 qi8 files also quantized x_total, which moved their cut but not this ranking.\",\n",
     );
     out.push_str(
         "  \"command\": \"cargo run --release -p soulmate-bench --bin snapshot_bench\",\n",
@@ -252,12 +278,18 @@ fn render_json(
     out.push_str(&format!("  \"load_reps\": {reps},\n"));
     out.push_str("  \"formats\": [\n");
     for (i, f) in formats.iter().enumerate() {
+        let stages: Vec<String> = STAGES
+            .iter()
+            .zip(&f.stage_mean_s)
+            .map(|(stage, s)| format!("\"{stage}\": {s:.6}"))
+            .collect();
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"bytes\": {}, \"load_best_s\": {:.4}, \"load_mean_s\": {:.4}}}{}\n",
+            "    {{\"name\": \"{}\", \"bytes\": {}, \"load_best_s\": {:.5}, \"load_mean_s\": {:.5}, \"stage_mean_s\": {{{}}}}}{}\n",
             f.name,
             f.bytes,
             f.load_best_s,
             f.load_mean_s,
+            stages.join(", "),
             if i + 1 < formats.len() { "," } else { "" }
         ));
     }

@@ -20,9 +20,11 @@
 //! entry (known kind, known encoding, non-zero length, in-bounds offsets
 //! with checked arithmetic, no duplicates, no overlaps, all required
 //! sections present) against the file's *actual* size **before allocating
-//! a single payload buffer**. A corrupted or adversarial header can
-//! therefore never cause an over-allocation or a multi-gigabyte parse —
-//! the worst case is reading `16 + 28·MAX_SECTIONS + 4` header bytes.
+//! a payload buffer**. A corrupted or adversarial header can therefore
+//! never cause an over-allocation or a multi-gigabyte parse — the worst
+//! case is reading `16 + 28·MAX_SECTIONS + 4` header bytes. Only then
+//! does it read every section's bytes, with one read into one buffer,
+//! check every section's CRC32, and decode the payloads (DESIGN.md §16).
 //!
 //! ## Section encodings
 //!
@@ -65,12 +67,13 @@ use crate::error::CoreError;
 use serde::{Deserialize, Serialize};
 use soulmate_embedding::Embedding;
 use soulmate_graph::Edge;
-use soulmate_linalg::{CenteredQuantizedRows, ChunkedRows, Matrix, QuantizedRows};
+use soulmate_linalg::{CenteredQuantizedRows, ChunkedRows, Matrix, QuantizedRows, TILE};
 use soulmate_text::{TokenizerConfig, Vocabulary};
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Leading bytes of every binary snapshot.
 pub const BINARY_MAGIC: [u8; 8] = *b"SOULSNAP";
@@ -187,38 +190,91 @@ struct MetaSection {
 // ---------------------------------------------------------------------
 // CRC32 (IEEE 802.3, reflected, polynomial 0xEDB88320) — hand-rolled
 // because the workspace deliberately carries no compression/checksum
-// dependency. Table-driven, one byte at a time.
+// dependency. Slicing-by-16: sixteen 256-entry tables, built at compile
+// time, fold sixteen input bytes into the register per step with sixteen
+// independent lookups instead of a chain of sixteen dependent ones; the
+// tail of fewer than sixteen bytes goes one byte at a time through the
+// first table. About five times the byte-at-a-time speed (DESIGN.md §16).
 // ---------------------------------------------------------------------
 
-/// Lazily built 256-entry CRC32 lookup table.
-fn crc_table() -> &'static [u32; 256] {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
-            // i ranges over 0..256, which fits u32 exactly.
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *slot = c;
+/// Bytes folded per slicing step.
+const CRC_SLICE: usize = 16;
+
+/// `CRC_TABLES[0]` is the classic byte table; `CRC_TABLES[k][b]` is the
+/// CRC register after byte `b` is followed by `k` zero bytes, so the byte
+/// `k` places before the end of a 16-byte block contributes
+/// `CRC_TABLES[k][b]`.
+static CRC_TABLES: [[u32; 256]; CRC_SLICE] = crc_tables();
+
+// Evaluated at compile time, where an out-of-range index is a build
+// error; every index is bounded by its loop (k < 16, i < 256) or masked
+// to 8 bits.
+#[allow(clippy::indexing_slicing)]
+const fn crc_tables() -> [[u32; 256]; CRC_SLICE] {
+    let mut tables = [[0u32; 256]; CRC_SLICE];
+    let mut i = 0;
+    while i < 256 {
+        // i < 256, so it fits u32 exactly.
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
         }
-        table
-    })
+        tables[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < CRC_SLICE {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            // Masked to 8 bits, so the index is < 256.
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-/// CRC32 of `bytes` (IEEE; matches zlib's `crc32(0, ...)`).
+/// CRC32 of `bytes` (IEEE; matches zlib's `crc32(0, ...)`). Any length
+/// and alignment: the blocks are byte arrays, read little-endian.
+// Every table index below is a `u8` widened to `usize` (< 256) into a
+// 256-entry table, and every table number is a constant < 16.
+#[allow(clippy::indexing_slicing)]
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let table = crc_table();
+    let t = &CRC_TABLES;
+    let byte = |b: u8| usize::from(b);
     let mut c = !0u32;
-    for &b in bytes {
-        // Masked to 8 bits, so the index is always < 256 and fits usize.
-        let idx = ((c ^ u32::from(b)) & 0xFF) as usize;
-        c = table.get(idx).copied().unwrap_or(0) ^ (c >> 8);
+    let (blocks, tail) = bytes.as_chunks::<CRC_SLICE>();
+    for block in blocks {
+        let [b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15] = *block;
+        let [x0, x1, x2, x3] = (c ^ u32::from_le_bytes([b0, b1, b2, b3])).to_le_bytes();
+        c = t[15][byte(x0)]
+            ^ t[14][byte(x1)]
+            ^ t[13][byte(x2)]
+            ^ t[12][byte(x3)]
+            ^ t[11][byte(b4)]
+            ^ t[10][byte(b5)]
+            ^ t[9][byte(b6)]
+            ^ t[8][byte(b7)]
+            ^ t[7][byte(b8)]
+            ^ t[6][byte(b9)]
+            ^ t[5][byte(b10)]
+            ^ t[4][byte(b11)]
+            ^ t[3][byte(b12)]
+            ^ t[2][byte(b13)]
+            ^ t[1][byte(b14)]
+            ^ t[0][byte(b15)];
+    }
+    for &b in tail {
+        let [low, ..] = c.to_le_bytes();
+        c = t[0][byte(low ^ b)] ^ (c >> 8);
     }
     !c
 }
@@ -745,26 +801,58 @@ pub fn inspect(path: &Path) -> Result<BinaryInfo, CoreError> {
     })
 }
 
-/// Read one section's payload and verify its checksum.
-fn read_section(file: &mut File, e: &Entry) -> Result<Vec<u8>, CoreError> {
-    let name = kind_name(e.kind);
-    file.seek(SeekFrom::Start(e.offset))
-        .map_err(|err| CoreError::Io {
-            context: format!("cannot seek to section {name}"),
-            source: err,
-        })?;
-    // e.len was validated against the real file size, so this allocation
-    // is bounded by the bytes actually on disk.
-    let len = usize::try_from(e.len).map_err(|_| {
+/// Read every section's bytes with one read: the span from the end of
+/// the header (where [`read_header`] left the file) to the end of the
+/// last section. Called only after the table was validated against the
+/// file's real size, so the buffer is bounded by the bytes on disk; it is
+/// allocated once and never zero-filled.
+fn read_body(file: &mut File, entries: &[Entry], header_len: usize) -> Result<Vec<u8>, CoreError> {
+    let header_end = header_len as u64; // usize widens losslessly into u64.
+                                        // Every entry ends within the file (validated), so no sum overflows.
+    let end = entries
+        .iter()
+        .map(|e| e.offset + e.len)
+        .fold(header_end, u64::max);
+    let len = usize::try_from(end - header_end).map_err(|_| {
         CoreError::Schema(format!(
-            "section {name}: size {} exceeds this platform",
-            e.len
+            "section bytes {} exceed this platform",
+            end - header_end
         ))
     })?;
-    let mut payload = vec![0u8; len];
-    file.read_exact(&mut payload)
-        .map_err(|err| CoreError::Parse(format!("section {name} truncated: {err}")))?;
-    if crc32(&payload) != e.crc {
+    let mut body = Vec::with_capacity(len);
+    file.take(end - header_end)
+        .read_to_end(&mut body)
+        .map_err(|err| CoreError::Io {
+            context: "snapshot section read failed".to_string(),
+            source: err,
+        })?;
+    if body.len() != len {
+        return Err(CoreError::Parse(format!(
+            "snapshot truncated: {len} section bytes after the header, read {}",
+            body.len()
+        )));
+    }
+    Ok(body)
+}
+
+/// The payload of `e` within `body` (which starts at file offset
+/// `header_len`), once its checksum matches.
+fn checked_payload<'a>(
+    body: &'a [u8],
+    header_len: usize,
+    e: &Entry,
+) -> Result<&'a [u8], CoreError> {
+    let name = kind_name(e.kind);
+    // Validated: header_len <= offset and offset + len <= the body's end.
+    let payload = usize::try_from(e.offset)
+        .ok()
+        .and_then(|off| off.checked_sub(header_len))
+        .zip(usize::try_from(e.len).ok())
+        .and_then(|(start, len)| body.get(start..start.checked_add(len)?))
+        .ok_or(CoreError::Internal(
+            "validated section outside the read bytes",
+        ))?;
+    if crc32(payload) != e.crc {
         return Err(CoreError::Parse(format!(
             "section {name} checksum mismatch (corrupted payload)"
         )));
@@ -772,36 +860,73 @@ fn read_section(file: &mut File, e: &Entry) -> Result<Vec<u8>, CoreError> {
     Ok(payload)
 }
 
-/// Decode an `ENC_F32` or `ENC_QI8` matrix payload. `ENC_QI8` sections
-/// are dequantized into f32 here, so the rest of the workspace never
-/// sees a quantized value.
-fn decode_matrix(what: &'static str, encoding: u32, payload: &[u8]) -> Result<Matrix, CoreError> {
+/// The `rows u64, cols u64` prefix of a matrix section. A zero-width
+/// matrix's payload does not grow with its rows, so its row count is
+/// bounded by the file instead: no valid file stores more rows than it
+/// has section bytes (a vocabulary word, a concept mean and an author
+/// each take bytes elsewhere), and a larger claim is refused here before
+/// it can size a per-row allocation.
+fn matrix_shape<'a>(
+    what: &'static str,
+    payload: &'a [u8],
+    max_rows: usize,
+) -> Result<(usize, usize, ByteReader<'a>), CoreError> {
     let mut r = ByteReader::new(payload, what);
     let rows = r.len_u64()?;
     let cols = r.len_u64()?;
-    let n = rows
+    if cols == 0 && rows > max_rows {
+        return Err(CoreError::Schema(format!(
+            "{what} section: {rows} rows, more than the file's {max_rows} section bytes"
+        )));
+    }
+    Ok((rows, cols, r))
+}
+
+/// The `rows·cols` little-endian `f32` words of an `ENC_F32` section,
+/// which must fill the rest of the payload exactly.
+fn f32_words<'a>(
+    what: &'static str,
+    mut r: ByteReader<'a>,
+    rows: usize,
+    cols: usize,
+) -> Result<&'a [[u8; 4]], CoreError> {
+    let need = rows
         .checked_mul(cols)
+        .and_then(|n| n.checked_mul(4))
         .ok_or_else(|| CoreError::Schema(format!("{what} section: {rows}x{cols} overflows")))?;
+    if r.remaining() != need {
+        return Err(CoreError::Parse(format!(
+            "{what} section: {rows}x{cols} needs {need} bytes, has {}",
+            r.remaining()
+        )));
+    }
+    Ok(r.take(need)?.as_chunks::<4>().0)
+}
+
+/// Little-endian `f32` words as floats, in one pass.
+fn le_f32s(words: &[[u8; 4]]) -> Vec<f32> {
+    words.iter().map(|w| f32::from_le_bytes(*w)).collect()
+}
+
+/// Decode an `ENC_F32` or `ENC_QI8` matrix payload. `ENC_QI8` sections
+/// are dequantized into f32 here, so the rest of the workspace never
+/// sees a quantized value.
+fn decode_matrix(
+    what: &'static str,
+    encoding: u32,
+    payload: &[u8],
+    max_rows: usize,
+) -> Result<Matrix, CoreError> {
+    let (rows, cols, mut r) = matrix_shape(what, payload, max_rows)?;
     match encoding {
         ENC_F32 => {
-            let need = n
-                .checked_mul(4)
-                .ok_or_else(|| CoreError::Schema(format!("{what} section: byte size overflows")))?;
-            if r.remaining() != need {
-                return Err(CoreError::Parse(format!(
-                    "{what} section: {rows}x{cols} needs {need} bytes, has {}",
-                    r.remaining()
-                )));
-            }
-            let mut data = Vec::with_capacity(n);
-            for chunk in r.take(need)?.chunks_exact(4) {
-                let mut a = [0u8; 4];
-                a.copy_from_slice(chunk);
-                data.push(f32::from_le_bytes(a));
-            }
-            Matrix::from_vec(rows, cols, data).map_err(CoreError::from)
+            let words = f32_words(what, r, rows, cols)?;
+            Matrix::from_vec(rows, cols, le_f32s(words)).map_err(CoreError::from)
         }
         ENC_QI8 => {
+            let n = rows.checked_mul(cols).ok_or_else(|| {
+                CoreError::Schema(format!("{what} section: {rows}x{cols} overflows"))
+            })?;
             let sidecar = rows
                 .checked_mul(8)
                 .and_then(|s| s.checked_add(cols.checked_mul(4)?))
@@ -817,28 +942,13 @@ fn decode_matrix(what: &'static str, encoding: u32, payload: &[u8]) -> Result<Ma
                     r.remaining()
                 )));
             }
-            let mut mean = Vec::with_capacity(cols);
-            for chunk in r.take(cols * 4)?.chunks_exact(4) {
-                let mut a = [0u8; 4];
-                a.copy_from_slice(chunk);
-                mean.push(f32::from_le_bytes(a));
-            }
-            let mut scales = Vec::with_capacity(rows);
-            for chunk in r.take(rows * 4)?.chunks_exact(4) {
-                let mut a = [0u8; 4];
-                a.copy_from_slice(chunk);
-                scales.push(f32::from_le_bytes(a));
-            }
-            let mut norms = Vec::with_capacity(rows);
-            for chunk in r.take(rows * 4)?.chunks_exact(4) {
-                let mut a = [0u8; 4];
-                a.copy_from_slice(chunk);
-                norms.push(f32::from_le_bytes(a));
-            }
-            let mut data = Vec::with_capacity(n);
-            for &b in r.take(n)? {
-                data.push(i8::from_le_bytes([b]));
-            }
+            let mut floats = |count: usize| -> Result<Vec<f32>, CoreError> {
+                Ok(le_f32s(r.take(count * 4)?.as_chunks::<4>().0))
+            };
+            let mean = floats(cols)?;
+            let scales = floats(rows)?;
+            let norms = floats(rows)?;
+            let data = r.take(n)?.iter().map(|&b| i8::from_le_bytes([b])).collect();
             let q = QuantizedRows::from_parts(rows, cols, data, scales, norms)
                 .map_err(CoreError::from)?;
             let c = CenteredQuantizedRows::from_parts(mean, q).map_err(CoreError::from)?;
@@ -851,24 +961,57 @@ fn decode_matrix(what: &'static str, encoding: u32, payload: &[u8]) -> Result<Ma
 }
 
 /// Decode a matrix section into the `Vec<Vec<f32>>` shape used by the
-/// centroids and a legacy x_total.
+/// centroids and a legacy x_total; `ENC_F32` rows are decoded in place.
 fn decode_rows(
     what: &'static str,
     encoding: u32,
     payload: &[u8],
+    max_rows: usize,
 ) -> Result<Vec<Vec<f32>>, CoreError> {
-    let m = decode_matrix(what, encoding, payload)?;
-    Ok(m.iter_rows().map(<[f32]>::to_vec).collect())
+    if encoding != ENC_F32 {
+        let m = decode_matrix(what, encoding, payload, max_rows)?;
+        return Ok(m.iter_rows().map(<[f32]>::to_vec).collect());
+    }
+    let (rows, cols, r) = matrix_shape(what, payload, max_rows)?;
+    let words = f32_words(what, r, rows, cols)?;
+    if cols == 0 {
+        return Ok(vec![Vec::new(); rows]);
+    }
+    Ok(words.chunks(cols).map(le_f32s).collect())
 }
 
-/// One little-endian `f32`.
-fn read_f32(r: &mut ByteReader<'_>) -> Result<f32, CoreError> {
-    Ok(f32::from_bits(r.u32()?))
-}
-
-/// A persisted `u32` id as a node index.
-fn read_id(r: &mut ByteReader<'_>) -> Result<usize, CoreError> {
-    Ok(r.u32()? as usize) // u32 widens losslessly into usize.
+/// Decode an author matrix section straight into its row store:
+/// `ENC_F32` rows go chunk by chunk from the payload into [`TILE`]-row
+/// chunks, with no flat matrix in between; `ENC_QI8` rows are
+/// dequantized first.
+fn decode_chunked(
+    what: &'static str,
+    encoding: u32,
+    payload: &[u8],
+    max_rows: usize,
+) -> Result<ChunkedRows, CoreError> {
+    if encoding != ENC_F32 {
+        return Ok(ChunkedRows::from(&decode_matrix(
+            what, encoding, payload, max_rows,
+        )?));
+    }
+    let (rows, cols, r) = matrix_shape(what, payload, max_rows)?;
+    let words = f32_words(what, r, rows, cols)?;
+    let chunk_len = TILE * cols;
+    let chunks = if cols == 0 {
+        vec![Vec::new(); rows.div_ceil(TILE)]
+    } else {
+        words
+            .chunks(chunk_len)
+            .map(|chunk| {
+                // Room for a full chunk, so an ingest grows the tail in place.
+                let mut floats = Vec::with_capacity(chunk_len);
+                floats.extend(chunk.iter().map(|w| f32::from_le_bytes(*w)));
+                floats
+            })
+            .collect()
+    };
+    ChunkedRows::from_chunks(rows, cols, chunks).map_err(CoreError::from)
 }
 
 /// Decode the `backbone` and `topk` payloads of a schema-3 file into the
@@ -899,13 +1042,18 @@ fn decode_cut(
             r.remaining()
         )));
     }
-    let mut edges = Vec::with_capacity(count);
-    for _ in 0..count {
-        let u = read_id(&mut r)?;
-        let v = read_id(&mut r)?;
-        let w = read_f32(&mut r)?;
-        edges.push(Edge { u, v, w });
-    }
+    let edges = r
+        .take(need)?
+        .as_chunks::<EDGE_LEN>()
+        .0
+        .iter()
+        .map(|&[u0, u1, u2, u3, v0, v1, v2, v3, w0, w1, w2, w3]| Edge {
+            // u32 widens losslessly into usize.
+            u: u32::from_le_bytes([u0, u1, u2, u3]) as usize,
+            v: u32::from_le_bytes([v0, v1, v2, v3]) as usize, // Widening, as above.
+            w: f32::from_le_bytes([w0, w1, w2, w3]),
+        })
+        .collect();
 
     let mut r = ByteReader::new(topk, "topk");
     let (stored_n, stored_k) = (r.u64()?, r.u64()?);
@@ -949,8 +1097,10 @@ fn from_json<T: for<'de> Deserialize<'de>>(
 /// Mirrors the JSON loader's contract — the returned snapshot has passed
 /// [`PipelineSnapshot::validate`] and its vocabulary index is rebuilt —
 /// but fails fast: magic/version on the first 16 bytes, table structure
-/// and checksums before any payload allocation, per-section checksums
-/// before any payload parse.
+/// and checksums before any payload allocation, every section checksum
+/// before any payload parse. The section bytes are read with one call
+/// into one buffer, dropped before the snapshot is assembled. Each stage
+/// is timed under `snapshot.load_binary.{read,checksum,decode,assemble}.seconds`.
 ///
 /// # Errors
 /// [`CoreError::Io`] when the file cannot be opened or read,
@@ -958,7 +1108,7 @@ fn from_json<T: for<'de> Deserialize<'de>>(
 /// truncated sections, undecodable payloads), [`CoreError::Schema`] for
 /// structural violations (bad version, bad table, shape mismatches).
 pub fn load(path: &Path) -> Result<PipelineSnapshot, CoreError> {
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     let mut file = File::open(path).map_err(|e| CoreError::Io {
         context: format!("cannot open {}", path.display()),
         source: e,
@@ -970,8 +1120,18 @@ pub fn load(path: &Path) -> Result<PipelineSnapshot, CoreError> {
             source: e,
         })?
         .len();
-    let (entries, _) = read_header(&mut file, file_len)?;
+    let (entries, header_len) = read_header(&mut file, file_len)?;
+    let body = read_body(&mut file, &entries, header_len)?;
+    drop(file);
+    let read_at = Instant::now();
 
+    let payloads = entries
+        .iter()
+        .map(|e| checked_payload(&body, header_len, e))
+        .collect::<Result<Vec<&[u8]>, CoreError>>()?;
+    let checked_at = Instant::now();
+
+    let max_rows = body.len();
     let mut meta: Option<MetaSection> = None;
     let mut vocab = None;
     let mut collective = None;
@@ -981,26 +1141,26 @@ pub fn load(path: &Path) -> Result<PipelineSnapshot, CoreError> {
     let mut x_total = None;
     let mut backbone = None;
     let mut topk = None;
-    for e in &entries {
-        let payload = read_section(&mut file, e)?;
+    for (e, &payload) in entries.iter().zip(&payloads) {
+        let enc = e.encoding;
         match e.kind {
-            KIND_META => meta = Some(from_json("metadata", &payload)?),
-            KIND_VOCAB => vocab = Some(from_json("vocabulary", &payload)?),
+            KIND_META => meta = Some(from_json("metadata", payload)?),
+            KIND_VOCAB => vocab = Some(from_json("vocabulary", payload)?),
             KIND_COLLECTIVE => {
-                collective = Some(decode_matrix("collective", e.encoding, &payload)?)
+                collective = Some(decode_matrix("collective", enc, payload, max_rows)?)
             }
-            KIND_CENTROIDS => centroids = Some(decode_rows("centroids", e.encoding, &payload)?),
+            KIND_CENTROIDS => centroids = Some(decode_rows("centroids", enc, payload, max_rows)?),
             KIND_AUTHOR_CONTENT => {
-                author_content = Some(decode_matrix("author_content", e.encoding, &payload)?)
+                author_content = Some(decode_chunked("author_content", enc, payload, max_rows)?)
             }
             KIND_AUTHOR_CONCEPT => {
-                author_concept = Some(decode_matrix("author_concept", e.encoding, &payload)?)
+                author_concept = Some(decode_chunked("author_concept", enc, payload, max_rows)?)
             }
-            KIND_X_TOTAL => x_total = Some(decode_rows("x_total", e.encoding, &payload)?),
+            KIND_X_TOTAL => x_total = Some(decode_rows("x_total", enc, payload, max_rows)?),
             // Decoded once the metadata and author count are known.
             KIND_BACKBONE => backbone = Some(payload),
             KIND_TOPK => topk = Some(payload),
-            // Checksummed by `read_section`; the IVF plan rebuilds it.
+            // Checksummed with the rest; the IVF plan rebuilds it.
             KIND_INDEX => {}
             // validate_entries rejected unknown kinds already.
             _ => return Err(CoreError::Internal("unvalidated section kind")),
@@ -1026,7 +1186,7 @@ pub fn load(path: &Path) -> Result<PipelineSnapshot, CoreError> {
             cut_from_dense(&x, n, min_sim)?
         }
         (None, Some(b), Some(t)) if meta.version > DENSE_VERSION_MAX => {
-            decode_cut(&b, &t, n, min_sim)?
+            decode_cut(b, t, n, min_sim)?
         }
         _ => {
             return Err(CoreError::Schema(format!(
@@ -1035,6 +1195,10 @@ pub fn load(path: &Path) -> Result<PipelineSnapshot, CoreError> {
             )))
         }
     };
+    drop(payloads);
+    drop(body);
+    let decoded_at = Instant::now();
+
     // The vocabulary's string→id index is skipped by serde.
     let mut vocab: Vocabulary = vocab.ok_or(CoreError::Internal("vocab section missing"))?;
     vocab.rebuild_index();
@@ -1046,10 +1210,9 @@ pub fn load(path: &Path) -> Result<PipelineSnapshot, CoreError> {
             collective.ok_or(CoreError::Internal("collective section missing"))?,
         )),
         centroids: centroids.ok_or(CoreError::Internal("centroids section missing"))?,
-        author_content: ChunkedRows::from(&author_content),
-        author_concept: ChunkedRows::from(
-            &author_concept.ok_or(CoreError::Internal("author_concept section missing"))?,
-        ),
+        author_content,
+        author_concept: author_concept
+            .ok_or(CoreError::Internal("author_concept section missing"))?,
         concept_means: meta.concept_means,
         concept_stats: meta.concept_stats,
         content_stats: meta.content_stats,
@@ -1060,7 +1223,19 @@ pub fn load(path: &Path) -> Result<PipelineSnapshot, CoreError> {
         author_handles: Handles::from(meta.author_handles),
     };
     snapshot.validate()?;
-    soulmate_obs::global().record_duration("snapshot.load_binary.seconds", start.elapsed());
+    let end = Instant::now();
+    let obs = soulmate_obs::global();
+    obs.record_duration("snapshot.load_binary.read.seconds", read_at - start);
+    obs.record_duration(
+        "snapshot.load_binary.checksum.seconds",
+        checked_at - read_at,
+    );
+    obs.record_duration(
+        "snapshot.load_binary.decode.seconds",
+        decoded_at - checked_at,
+    );
+    obs.record_duration("snapshot.load_binary.assemble.seconds", end - decoded_at);
+    obs.record_duration("snapshot.load_binary.seconds", end - start);
     Ok(snapshot)
 }
 
@@ -1111,6 +1286,78 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    /// The textbook byte-at-a-time CRC32, bit by bit with no table: the
+    /// oracle the sliced implementation must match.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in bytes {
+            c ^= u32::from(b);
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        !c
+    }
+
+    /// Table `k`, entry `i`: the register `i` after `k + 1` bytes of
+    /// eight shifts each (the byte `i` and `k` zero bytes).
+    #[test]
+    fn crc32_tables_are_the_byte_table_plus_zero_bytes() {
+        let shift8 = |mut c: u32| {
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+            c
+        };
+        for i in 0..256u32 {
+            let mut c = i;
+            for table in &CRC_TABLES {
+                c = shift8(c);
+                assert_eq!(table[i as usize], c);
+            }
+        }
+    }
+
+    /// Every length 0..=300 (every block count up to 18 and every tail
+    /// length), then longer random buffers, each at every start offset
+    /// 0..16 so the blocks straddle every alignment.
+    #[test]
+    fn prop_crc32_matches_bytewise_oracle() {
+        soulmate_check::check(8, |g| {
+            let buf = g.vec(300 + 16, |g| g.u8(0..=255));
+            for offset in 0..16 {
+                for len in 0..=300 {
+                    let slice = &buf[offset..offset + len];
+                    assert_eq!(
+                        crc32(slice),
+                        crc32_bytewise(slice),
+                        "offset {offset} len {len}"
+                    );
+                }
+            }
+        });
+        soulmate_check::check(16, |g| {
+            let buf = g.vec(301..1 << 16, |g| g.u8(0..=255));
+            for offset in 0..16 {
+                let slice = &buf[offset..];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(slice),
+                    "offset {offset} len {}",
+                    slice.len()
+                );
+            }
+        });
     }
 
     #[test]

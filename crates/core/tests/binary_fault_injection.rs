@@ -296,6 +296,150 @@ fn flipped_header_bytes_fail_the_header_checksum_before_any_payload() {
     }
 }
 
+/// The name a section of `kind` carries in the reader's errors.
+fn kind_name(kind: u32) -> &'static str {
+    match kind {
+        1 => "meta",
+        2 => "vocab",
+        3 => "collective",
+        4 => "centroids",
+        5 => "author_content",
+        6 => "author_concept",
+        7 => "x_total",
+        8 => "index",
+        9 => "backbone",
+        10 => "topk",
+        other => panic!("unknown kind {other}"),
+    }
+}
+
+/// The checksum folds sixteen bytes per step and the last `len % 16` one
+/// at a time. One flipped bit at each position of a 16-byte block (each
+/// in a different block where the payload has several, each a different
+/// bit) and at every byte of the tail must fail that section's checksum,
+/// by name, before anything is parsed.
+#[test]
+fn flipped_bits_at_every_block_position_and_in_the_tail_fail_the_section_checksum() {
+    let c = Container::schema3_fixture();
+    for i in 0..c.section_count() {
+        let e = c.entry(i);
+        let name = kind_name(e.kind);
+        let len = e.len as usize;
+        let blocks = len / 16;
+        let mut flips: Vec<usize> = if blocks == 0 {
+            Vec::new()
+        } else {
+            (0..16).map(|p| (p * 7 % blocks) * 16 + p).collect()
+        };
+        flips.extend(blocks * 16..len);
+        assert!(flips.len() >= 16, "section {name}: {len} bytes");
+        for (n, at) in flips.into_iter().enumerate() {
+            let mut forged = Container {
+                bytes: c.bytes.clone(),
+            };
+            forged.bytes[e.offset as usize + at] ^= 1 << (n % 8);
+            let err = forged.load("bitflip.bin").unwrap_err();
+            let want = format!("section {name} checksum mismatch");
+            assert!(
+                matches!(&err, CoreError::Parse(m) if m.contains(&want)),
+                "section {name} byte {at}: gave {err:?}, expected `{want}`"
+            );
+        }
+    }
+}
+
+#[test]
+fn committed_containers_carry_the_checksums_this_crc_computes() {
+    // Written by earlier writers with the byte-at-a-time CRC: every
+    // stored section and header checksum must equal today's value.
+    for name in ["v3_f32_index.bin", "v3_qi8.bin", "v3_schema3.bin"] {
+        let c = Container {
+            bytes: std::fs::read(fixture(name)).unwrap(),
+        };
+        for i in 0..c.section_count() {
+            let e = c.entry(i);
+            let stored = c.entry_at(i) + 24;
+            let payload = &c.bytes[e.offset as usize..(e.offset + e.len) as usize];
+            assert_eq!(
+                crc32(payload).to_le_bytes(),
+                c.bytes[stored..stored + 4],
+                "{name} section {}",
+                kind_name(e.kind)
+            );
+        }
+        let hl = c.header_len();
+        assert_eq!(
+            crc32(&c.bytes[..hl - 4]).to_le_bytes(),
+            c.bytes[hl - 4..hl],
+            "{name} header"
+        );
+    }
+}
+
+#[test]
+fn truncated_bodies_are_refused_by_the_table_before_any_section_read() {
+    // Every cut inside the section bytes leaves a section past the end
+    // of the file: the validated table refuses it, so the one read of
+    // the section bytes never starts.
+    let c = Container::schema3_fixture();
+    for i in 0..c.section_count() {
+        let e = c.entry(i);
+        let (off, len) = (e.offset as usize, e.len as usize);
+        for cut in [off, off + len / 2, off + len - 1] {
+            let truncated = Container {
+                bytes: c.bytes[..cut].to_vec(),
+            };
+            let err = truncated.load("trunc-body.bin").unwrap_err();
+            assert!(
+                matches!(&err, CoreError::Schema(m) if m.contains("extends past end of file")),
+                "cut at {cut}: {err:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn trailing_bytes_after_the_last_section_are_never_read() {
+    // The table, not the file length, says where the sections end: bytes
+    // after the last one are not read, checksummed or parsed.
+    let c = Container::schema3_fixture();
+    let want = c.load("trail-ctl.bin").unwrap();
+    for extra in [1usize, 15, 16, 17, 4096] {
+        let mut forged = Container {
+            bytes: c.bytes.clone(),
+        };
+        forged.bytes.resize(c.bytes.len() + extra, 0xA5);
+        let got = forged.load("trail.bin").unwrap();
+        assert_eq!(got.cut.base_edges(), want.cut.base_edges(), "{extra}");
+        assert_eq!(
+            got.author_content.to_matrix(),
+            want.author_content.to_matrix(),
+            "{extra}"
+        );
+    }
+}
+
+#[test]
+fn zero_width_matrices_cannot_claim_more_rows_than_the_file_has_bytes() {
+    // A zero-width matrix's payload does not grow with its rows, so its
+    // row count is bounded by the file instead; a forged count of 2^40
+    // rows must be refused before any per-row allocation.
+    let c = Container::schema3_fixture();
+    for kind in [3, 4, 5, 6] {
+        let mut payload = (1u64 << 40).to_le_bytes().to_vec();
+        payload.extend_from_slice(&0u64.to_le_bytes());
+        let err = c
+            .with_payload(kind, payload)
+            .load("zero-width.bin")
+            .unwrap_err();
+        let name = kind_name(kind);
+        assert!(
+            matches!(&err, CoreError::Schema(m) if m.contains(name) && m.contains("rows, more than")),
+            "{name}: {err:?}"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------
 // Forged section tables (resealed, so only validation can reject them).
 // ---------------------------------------------------------------------

@@ -3,10 +3,13 @@
 //! serving-path metrics in the process-global registry.
 //!
 //! The registry is shared across every test in the process, so all
-//! assertions are presence / monotone-growth checks, never exact totals.
+//! assertions are presence / monotone-growth checks, never exact totals —
+//! except for the binary loader's histograms, which only
+//! `binary_load_stages_split_the_load` records in this process.
 
-use soulmate_core::{EngineMode, Pipeline, PipelineConfig};
+use soulmate_core::{EngineMode, Pipeline, PipelineConfig, PipelineSnapshot};
 use soulmate_corpus::{generate, GeneratorConfig, Timestamp};
+use std::path::Path;
 
 #[test]
 fn fit_and_query_populate_expected_metric_names() {
@@ -71,4 +74,34 @@ fn fit_and_query_populate_expected_metric_names() {
     assert!(obs.counter("engine.queries") > queries_before);
     // The cut counts the edges it examines.
     assert!(obs.counter("engine.edges_examined") >= 1);
+}
+
+#[test]
+fn binary_load_stages_split_the_load() {
+    let obs = soulmate_obs::global();
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v3_schema3.bin");
+    let loads = 3;
+    for _ in 0..loads {
+        PipelineSnapshot::load(&fixture).unwrap();
+    }
+    let total = obs
+        .histogram("snapshot.load_binary.seconds")
+        .expect("binary load histogram");
+    assert_eq!(total.count, loads);
+    let mut stage_sum = 0.0;
+    for stage in ["read", "checksum", "decode", "assemble"] {
+        let h = obs
+            .histogram(&format!("snapshot.load_binary.{stage}.seconds"))
+            .unwrap_or_else(|| panic!("stage {stage} missing"));
+        assert_eq!(h.count, loads, "{stage}");
+        assert!(h.sum >= 0.0 && h.sum.is_finite(), "{stage}");
+        stage_sum += h.sum;
+    }
+    // Disjoint spans of one load: together no longer than the load
+    // (up to float rounding of the per-stage seconds).
+    assert!(
+        stage_sum <= total.sum * (1.0 + 1e-9),
+        "stages {stage_sum} s > load {} s",
+        total.sum
+    );
 }

@@ -119,6 +119,42 @@ impl ChunkedRows {
         self.rows += 1;
     }
 
+    /// A store of `rows` rows of width `cols` from its chunks, in row
+    /// order: every chunk but the last holds [`TILE`] rows, the last the
+    /// rest (`rows.div_ceil(TILE)` chunks in all). A chunk allocated with
+    /// room for [`TILE`] rows lets the tail grow in place on push.
+    ///
+    /// # Errors
+    /// [`LinalgError::ShapeMismatch`] when the chunk count or a chunk's
+    /// length disagrees with `rows` and `cols`.
+    pub fn from_chunks(
+        rows: usize,
+        cols: usize,
+        chunks: Vec<Vec<f32>>,
+    ) -> Result<ChunkedRows, LinalgError> {
+        let mismatch = |want: String, got: String| Err(LinalgError::ShapeMismatch(want, got));
+        if chunks.len() != rows.div_ceil(TILE) {
+            return mismatch(
+                format!("{} chunks of {rows} rows", rows.div_ceil(TILE)),
+                format!("{} chunks", chunks.len()),
+            );
+        }
+        for (c, chunk) in chunks.iter().enumerate() {
+            let want = TILE.min(rows - c * TILE) * cols;
+            if chunk.len() != want {
+                return mismatch(
+                    format!("chunk {c} of {want} values"),
+                    format!("{} values", chunk.len()),
+                );
+            }
+        }
+        Ok(ChunkedRows {
+            rows,
+            cols,
+            chunks: chunks.into_iter().map(Arc::new).collect(),
+        })
+    }
+
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -266,6 +302,36 @@ mod tests {
         assert!(s.iter_rows().all(<[f32]>::is_empty));
         assert_eq!(s.to_matrix().rows(), TILE + 1);
         assert_eq!(s.dots(&[&[]]), vec![vec![0.0; TILE + 1]]);
+    }
+
+    #[test]
+    fn from_chunks_matches_pushed_rows_and_checks_shape() {
+        for rows in [0, 1, TILE - 1, TILE, TILE + 1, 3 * TILE + 5] {
+            for cols in [0, 1, 3] {
+                let mut pushed = ChunkedRows::new(cols);
+                for i in 0..rows {
+                    let row: Vec<f32> = (0..cols).map(|j| (i * cols + j) as f32).collect();
+                    pushed.push_row(&row).unwrap();
+                }
+                let chunks: Vec<Vec<f32>> = pushed.chunks().iter().map(|c| c.to_vec()).collect();
+                let built = ChunkedRows::from_chunks(rows, cols, chunks).unwrap();
+                assert_eq!((built.rows(), built.cols()), (rows, cols));
+                assert_eq!(built.to_matrix(), pushed.to_matrix());
+            }
+        }
+        // One chunk too few, one too many, a short tail, a long head.
+        let chunk = |n: usize| vec![0.0f32; n * 2];
+        for (rows, chunks) in [
+            (TILE + 1, vec![chunk(TILE)]),
+            (TILE, vec![chunk(TILE), chunk(0)]),
+            (TILE + 2, vec![chunk(TILE), chunk(1)]),
+            (TILE + 1, vec![chunk(TILE + 1), chunk(0)]),
+        ] {
+            assert!(matches!(
+                ChunkedRows::from_chunks(rows, 2, chunks),
+                Err(LinalgError::ShapeMismatch(..))
+            ));
+        }
     }
 
     #[test]
