@@ -15,7 +15,7 @@ use soulmate_corpus::Timestamp;
 use soulmate_embedding::Embedding;
 use soulmate_graph::{swmst, WeightedGraph};
 use soulmate_linalg::{dot, euclidean, l2_norm, scale, sub_assign, RowSource};
-use soulmate_text::{tokenize, TokenizerConfig, Vocabulary};
+use soulmate_text::{tokenize_with, TokenizerConfig, Vocabulary};
 
 /// Result of linking a query author.
 #[derive(Debug, Clone)]
@@ -86,6 +86,23 @@ pub(crate) struct QueryVectors {
     pub concept_centered_unit: Vec<f32>,
 }
 
+impl QueryModel<'_> {
+    /// Vectorize a query author's tweets against the model (Section
+    /// 4.2.1): the raw content vector (mean tweet vector) and concept
+    /// vector (mean centroid-distance profile) that every `/link`, every
+    /// `/ingest` and every ingest delta computes before scoring.
+    ///
+    /// # Errors
+    /// [`CoreError::Invalid`] when the tweet list is empty or no tweet
+    /// yields any in-vocabulary token.
+    pub fn vectorize(
+        &self,
+        tweets: &[(Timestamp, String)],
+    ) -> Result<(Vec<f32>, Vec<f32>), CoreError> {
+        vectorize_query(self, tweets).map(|q| (q.content, q.concept))
+    }
+}
+
 /// Scale to unit L2 norm exactly like
 /// [`soulmate_linalg::NormalizedRows::from_matrix`] does (zero/degenerate
 /// rows stay untouched). The engine's unit author rows are built with it
@@ -112,12 +129,16 @@ pub(crate) fn vectorize_query(
     if tweets.is_empty() {
         return Err(CoreError::Invalid("query author has no tweets".into()));
     }
-    // Encode with the *existing* vocabulary; OOV tokens drop out.
+    // Encode with the *existing* vocabulary; OOV tokens drop out. Each
+    // token is looked up as the tokenizer emits it, never owned.
     let docs: Vec<Vec<u32>> = tweets
         .iter()
         .map(|(_, text)| {
-            let tokens = tokenize(text, model.tokenizer);
-            model.vocab.encode(tokens.iter().map(String::as_str))
+            let mut ids = Vec::new();
+            tokenize_with(text, model.tokenizer, |token| {
+                ids.extend(model.vocab.id(token));
+            });
+            ids
         })
         .collect();
     if docs.iter().all(Vec::is_empty) {

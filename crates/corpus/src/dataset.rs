@@ -4,7 +4,7 @@
 use crate::lexicon::Lexicon;
 use crate::time::Timestamp;
 use serde::{Deserialize, Serialize};
-use soulmate_text::{tokenize, TokenizerConfig, Vocabulary, WordId};
+use soulmate_text::{tokenize_with, TokenizerConfig, Vocabulary, WordId};
 
 /// Dense author identifier (index into [`Dataset::authors`]).
 pub type AuthorId = u32;
@@ -94,28 +94,43 @@ impl Dataset {
     /// vocabulary, prunes words occurring fewer than `min_count` times, and
     /// re-encodes the tweets. This is the representation every downstream
     /// stage (temporal grids, embeddings, clustering) consumes.
+    ///
+    /// One tokenizer pass: each token is observed as it is emitted (a word
+    /// is copied only on its first sight), and the pruned ids come from
+    /// `prune`'s remap table rather than a second lookup per token.
     pub fn encode(&self, tokenizer: &TokenizerConfig, min_count: u64) -> EncodedCorpus {
         let mut vocab = Vocabulary::new();
-        let token_docs: Vec<Vec<String>> = self
+        let mut docs: Vec<Vec<WordId>> = self
             .tweets
             .iter()
-            .map(|t| tokenize(&t.text, tokenizer))
+            .map(|t| {
+                let mut ids = Vec::new();
+                tokenize_with(&t.text, tokenizer, |token| ids.push(vocab.observe(token)));
+                ids
+            })
             .collect();
-        for doc in &token_docs {
-            vocab.observe_all(doc.iter().map(String::as_str));
-        }
         if min_count > 1 {
-            vocab.prune(min_count);
+            let remap = vocab.prune(min_count);
+            for ids in &mut docs {
+                // Ids index `remap` by construction; u32→usize is widening.
+                ids.retain_mut(|id| match remap[*id as usize] {
+                    Some(new_id) => {
+                        *id = new_id;
+                        true
+                    }
+                    None => false,
+                });
+            }
         }
         let tweets = self
             .tweets
             .iter()
-            .zip(&token_docs)
-            .map(|(t, doc)| EncodedTweet {
+            .zip(docs)
+            .map(|(t, words)| EncodedTweet {
                 id: t.id,
                 author: t.author,
                 timestamp: t.timestamp,
-                words: vocab.encode(doc.iter().map(String::as_str)),
+                words,
                 popularity: t.popularity,
             })
             .collect();

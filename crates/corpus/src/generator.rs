@@ -521,7 +521,7 @@ fn elongate(word: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use soulmate_text::TokenizerConfig;
+    use soulmate_text::{tokenize, TokenizerConfig, Vocabulary, WordId};
 
     fn small() -> Dataset {
         generate(&GeneratorConfig::small()).expect("valid config")
@@ -643,6 +643,46 @@ mod tests {
                 "head {} missing from vocab",
                 c.head
             );
+        }
+    }
+
+    /// The two-pass encode the one-pass `Dataset::encode` replaced: own
+    /// every token, observe, prune, then look every token up again.
+    fn two_pass_encode(d: &Dataset, min_count: u64) -> (Vocabulary, Vec<Vec<WordId>>) {
+        let config = TokenizerConfig::default();
+        let docs: Vec<Vec<String>> = d
+            .tweets
+            .iter()
+            .map(|t| tokenize(&t.text, &config))
+            .collect();
+        let mut vocab = Vocabulary::new();
+        for token in docs.iter().flatten() {
+            vocab.observe(token);
+        }
+        if min_count > 1 {
+            vocab.prune(min_count);
+        }
+        let words = docs
+            .iter()
+            .map(|doc| doc.iter().filter_map(|t| vocab.id(t)).collect())
+            .collect();
+        (vocab, words)
+    }
+
+    #[test]
+    fn one_pass_encode_matches_two_pass_encode() {
+        let d = small();
+        for min_count in [1, 3] {
+            let enc = d.encode(&TokenizerConfig::default(), min_count);
+            let (vocab, words) = two_pass_encode(&d, min_count);
+            assert!(enc.vocab.iter().eq(vocab.iter()), "min_count {min_count}");
+            for (w, id) in vocab.iter().map(|(id, w, _)| (w, id)) {
+                assert_eq!(enc.vocab.id(w), Some(id));
+            }
+            assert_eq!(enc.tweets.len(), words.len());
+            for (t, w) in enc.tweets.iter().zip(&words) {
+                assert_eq!(&t.words, w, "tweet {} at min_count {min_count}", t.id);
+            }
         }
     }
 

@@ -21,7 +21,7 @@
 //! that accept either.
 
 use crate::error::LinalgError;
-use crate::kernels::{record_gram_metrics, TILE};
+use crate::kernels::{record_gram_metrics, GRAM_RECT, GRAM_RECT_ROWS, TILE};
 use crate::matrix::Matrix;
 use crate::vector::dot;
 use std::sync::Arc;
@@ -222,7 +222,7 @@ impl ChunkedRows {
             }
         }
         record_gram_metrics(
-            "kernels.gram_rect",
+            &GRAM_RECT,
             queries.len(),
             (queries.len().div_ceil(TILE) * self.chunks.len()) as u64,
         );
@@ -249,9 +249,7 @@ impl ChunkedRows {
             }
         }
         record_gram_metrics(
-            // Distinct from `kernels.gram_rect` so the serving path's
-            // stage-2 candidate re-rank stays separately observable.
-            "kernels.gram_rect_rows",
+            &GRAM_RECT_ROWS,
             queries.len(),
             (queries.len().div_ceil(TILE) * ids.len().div_ceil(TILE)) as u64,
         );

@@ -173,7 +173,7 @@ pub fn gram_blocked(a: &Matrix) -> Vec<Vec<f32>> {
         i0 = i1;
     }
     mirror_lower(&mut out);
-    record_gram_metrics("kernels.gram", n, upper_tile_count(n));
+    record_gram_metrics(&GRAM, n, upper_tile_count(n));
     out
 }
 
@@ -184,14 +184,46 @@ fn upper_tile_count(n: usize) -> u64 {
     t * (t + 1) / 2
 }
 
-/// One-lock-per-call metrics batch for a Gram kernel invocation — the
+/// The `<family>.calls`, `.rows` and `.tiles` counter names one Gram
+/// kernel family records under, spelled out at compile time so a scoring
+/// call formats no names.
+pub(crate) struct GramMetrics {
+    calls: &'static str,
+    rows: &'static str,
+    tiles: &'static str,
+}
+
+macro_rules! gram_metrics {
+    ($family:literal) => {
+        GramMetrics {
+            calls: concat!($family, ".calls"),
+            rows: concat!($family, ".rows"),
+            tiles: concat!($family, ".tiles"),
+        }
+    };
+}
+
+/// [`gram_blocked`].
+const GRAM: GramMetrics = gram_metrics!("kernels.gram");
+/// [`gram_blocked_par`].
+const GRAM_PAR: GramMetrics = gram_metrics!("kernels.gram_par");
+/// [`gram_rect_blocked`] and [`crate::ChunkedRows::dots`].
+pub(crate) const GRAM_RECT: GramMetrics = gram_metrics!("kernels.gram_rect");
+/// The quantized kernel: a counter family apart from the f32 kernels so
+/// the i8 fast path's share of serving work is observable on its own.
+const GRAM_RECT_I8: GramMetrics = gram_metrics!("kernels.gram_rect_i8");
+/// [`crate::ChunkedRows::dots_at`]: apart from `kernels.gram_rect` so the
+/// serving path's stage-2 candidate re-rank stays separately observable.
+pub(crate) const GRAM_RECT_ROWS: GramMetrics = gram_metrics!("kernels.gram_rect_rows");
+
+/// One-lock-per-counter metrics batch for a Gram kernel invocation — the
 /// counters are aggregated outside the hot tile loops so instrumentation
 /// cost stays O(1) per call, not O(tiles).
-pub(crate) fn record_gram_metrics(prefix: &str, rows: usize, tiles: u64) {
+pub(crate) fn record_gram_metrics(names: &GramMetrics, rows: usize, tiles: u64) {
     let obs = soulmate_obs::global();
-    obs.incr(&format!("{prefix}.calls"), 1);
-    obs.incr(&format!("{prefix}.rows"), rows as u64);
-    obs.incr(&format!("{prefix}.tiles"), tiles);
+    obs.incr(names.calls, 1);
+    obs.incr(names.rows, rows as u64);
+    obs.incr(names.tiles, tiles);
 }
 
 /// Parallel [`gram_blocked`]: tile-rows are striped round-robin across
@@ -228,7 +260,7 @@ pub fn gram_blocked_par(a: &Matrix, threads: usize) -> Vec<Vec<f32>> {
     collected.sort_by_key(|(i, _)| *i);
     let mut out: Vec<Vec<f32>> = collected.into_iter().map(|(_, r)| r).collect();
     mirror_lower(&mut out);
-    record_gram_metrics("kernels.gram_par", n, upper_tile_count(n));
+    record_gram_metrics(&GRAM_PAR, n, upper_tile_count(n));
     out
 }
 
@@ -259,7 +291,7 @@ pub fn gram_rect_blocked(a: &Matrix, b: &Matrix) -> Vec<Vec<f32>> {
         i0 = i1;
     }
     record_gram_metrics(
-        "kernels.gram_rect",
+        &GRAM_RECT,
         na,
         (na.div_ceil(TILE) * nb.div_ceil(TILE)) as u64,
     );
@@ -336,9 +368,7 @@ pub fn gram_rect_i8_blocked(a: &QuantizedRows, b: &QuantizedRows) -> Vec<Vec<f32
         i0 = i1;
     }
     record_gram_metrics(
-        // Separate counter family from the f32 kernels so the quantized
-        // fast path's share of serving work is observable on its own.
-        "kernels.gram_rect_i8",
+        &GRAM_RECT_I8,
         na,
         (na.div_ceil(TILE) * nb.div_ceil(TILE)) as u64,
     );

@@ -8,6 +8,15 @@ use std::path::Path;
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
+/// Apply `f` to the entry for `name`, looked up by `&str`: the name is
+/// copied into the map only when the entry is created (at its default).
+fn update<V: Default>(map: &mut BTreeMap<String, V>, name: &str, f: impl FnOnce(&mut V)) {
+    match map.get_mut(name) {
+        Some(v) => f(v),
+        None => f(map.entry(name.to_owned()).or_default()),
+    }
+}
+
 #[derive(Default)]
 struct Inner {
     counters: BTreeMap<String, u64>,
@@ -42,22 +51,17 @@ impl MetricsRegistry {
 
     /// Add `by` to counter `name` (created at zero on first use).
     pub fn incr(&self, name: &str, by: u64) {
-        let mut inner = self.lock();
-        *inner.counters.entry(name.to_string()).or_insert(0) += by;
+        update(&mut self.lock().counters, name, |c| *c += by);
     }
 
     /// Set gauge `name` to `v`.
     pub fn set_gauge(&self, name: &str, v: f64) {
-        self.lock().gauges.insert(name.to_string(), v);
+        update(&mut self.lock().gauges, name, |g| *g = v);
     }
 
     /// Record one sample into histogram `name`.
     pub fn record(&self, name: &str, v: f64) {
-        self.lock()
-            .histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(v);
+        update(&mut self.lock().histograms, name, |h| h.record(v));
     }
 
     /// Record a wall-time duration (in seconds) into histogram `name`.

@@ -4,8 +4,11 @@
 //! grammatical rules" (paper, Challenge 1); this crate provides the
 //! normalization layer that every other component consumes:
 //!
-//! * [`tokenize`] — a microblog-aware tokenizer (URLs, @mentions, #hashtags,
-//!   elongated words, punctuation);
+//! * [`tokenize_with`] — a microblog-aware tokenizer (URLs, @mentions,
+//!   #hashtags, elongated words, punctuation) that hands each token to a
+//!   closure as a `&str`, with no per-token allocation: ASCII words take
+//!   one byte loop, other words the Unicode char path ([`tokenize`]
+//!   collects the same tokens as `String`s);
 //! * [`Vocabulary`] — string interning with frequency-based pruning;
 //! * [`SparseVector`] — sorted sparse term vectors with cosine/dot kernels;
 //! * [`tfidf`] — standard document TF-IDF plus the paper's *modified*
@@ -34,5 +37,5 @@ pub use error::TextError;
 pub use sparse::SparseVector;
 pub use stopwords::is_stopword;
 pub use tfidf::{jaccard, modified_split_tfidf, DocumentTfIdf};
-pub use token::{tokenize, TokenizerConfig};
+pub use token::{tokenize, tokenize_with, TokenizerConfig};
 pub use vocab::{Vocabulary, WordId};

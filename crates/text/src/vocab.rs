@@ -13,16 +13,19 @@ pub type WordId = u32;
 /// then optionally [`Vocabulary::prune`] rare words (`min_count`) the way
 /// word2vec does. Ids are assigned in first-seen order and re-compacted by
 /// `prune`, so downstream matrices can be indexed densely by `WordId`.
+/// Text is encoded by looking each token up with [`Vocabulary::id`] as
+/// the tokenizer emits it (out-of-vocabulary tokens have no id).
 ///
 /// # Examples
 /// ```
 /// use soulmate_text::Vocabulary;
 ///
 /// let mut vocab = Vocabulary::new();
-/// vocab.observe_all(["beach", "surf", "beach"]);
+/// let ids: Vec<_> = ["beach", "surf", "beach"].map(|w| vocab.observe(w)).into();
 /// let beach = vocab.id("beach").unwrap();
 /// assert_eq!(vocab.count(beach), 2);
-/// assert_eq!(vocab.decode(&vocab.encode(["surf", "unknown"])), vec!["surf"]);
+/// assert_eq!(vocab.id("unknown"), None);
+/// assert_eq!(vocab.decode(&ids), vec!["beach", "surf", "beach"]);
 /// ```
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Vocabulary {
@@ -50,13 +53,6 @@ impl Vocabulary {
         self.counts.push(1);
         self.index.insert(word.to_owned(), id);
         id
-    }
-
-    /// Record every token in a document.
-    pub fn observe_all<'a, I: IntoIterator<Item = &'a str>>(&mut self, tokens: I) {
-        for t in tokens {
-            self.observe(t);
-        }
     }
 
     /// Look up a word id without modifying counts.
@@ -110,11 +106,6 @@ impl Vocabulary {
         self.counts = new_counts;
         self.rebuild_index();
         remap
-    }
-
-    /// Encode a token stream, skipping out-of-vocabulary tokens.
-    pub fn encode<'a, I: IntoIterator<Item = &'a str>>(&self, tokens: I) -> Vec<WordId> {
-        tokens.into_iter().filter_map(|t| self.id(t)).collect()
     }
 
     /// Decode ids back to surface forms, skipping out-of-range ids.
@@ -193,15 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn encode_skips_oov() {
-        let mut v = Vocabulary::new();
-        v.observe("beach");
-        let ids = v.encode(["beach", "unknown", "beach"]);
-        assert_eq!(ids.len(), 2);
-        assert_eq!(v.decode(&ids), vec!["beach", "beach"]);
-    }
-
-    #[test]
     fn iter_yields_all_entries() {
         let mut v = Vocabulary::new();
         v.observe("a1");
@@ -218,7 +200,7 @@ mod tests {
         let v = Vocabulary::new();
         assert!(v.is_empty());
         assert_eq!(v.total_tokens(), 0);
-        assert!(v.encode(["x"]).is_empty());
+        assert_eq!(v.id("x"), None);
     }
 
     #[test]
