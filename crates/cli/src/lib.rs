@@ -56,13 +56,11 @@ USAGE:
                      [--seed N] [--metrics <metrics.json>] [--stats]
   soulmate subgraphs --model <model.bin> [--top N]
   soulmate link      --model <model.bin> --tweets <tweets.txt> [--multi]
-                     [--ivf [--nprobe N]] [--quant [--rerank N]]
-                     [--metrics <metrics.json>] [--stats]
+                     [--ivf [--nprobe N]] [--metrics <metrics.json>] [--stats]
   soulmate serve     --model <model.bin> [--port N] [--host H] [--threads N]
                      [--queue N] [--max-body BYTES] [--ivf [--nprobe N]]
-                     [--quant [--rerank N]] [--refit-data <data.json>
-                     --refit-interval N [--snapshot-out <model.bin>]
-                     [--dim N] [--epochs N] [--seed N]]
+                     [--refit-data <data.json> --refit-interval N
+                     [--snapshot-out <model.bin>] [--dim N] [--epochs N] [--seed N]]
   soulmate ingest    --model <model> --tweets <tweets.txt> --out <model.bin>
                      [--handles a,b,c]
   soulmate convert   --model <model> --out <model.bin> [--quantize]
@@ -86,15 +84,14 @@ The tweets file for `link` holds one tweet per line; an optional leading
 author and the whole batch is served from one precomputed engine. With
 `--ivf`, candidates are retrieved through an IVF index built at load
 time and only candidates are scored exactly; `--nprobe N` widens the
-probe (0 or absent = index default) and is only meaningful with `--ivf`. With `--quant`, every author is scored
-with integer i8 dot products first and only the top `--rerank` candidates
-per query (0 or absent = engine default) are re-scored exactly; reported
-candidate scores are always the exact ones.
+probe (0 or absent = index default) and is only meaningful with `--ivf`.
 
 `fit`, `ingest` and `convert` write the v3 binary format; `convert`
 migrates any readable snapshot, legacy v1/v2 JSON included (DESIGN.md
 §16). The input format and version are detected
-automatically, `--quantize` stores the author matrices as per-row i8.
+automatically, `--quantize` stores the author matrices as per-row i8
+(a storage encoding: the loader turns them back into `f32` rows, and
+every query plan serves a quantized file like any other).
 `inspect` prints a binary snapshot's validated section table from the
 header alone — no payload byte is read — and summarizes legacy JSON
 snapshots (`--json` for machine-readable output in both cases).
@@ -142,13 +139,10 @@ pub fn run<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
         "generate" => ("out authors tweets concepts communities seed", cmd_generate),
         "fit" => ("data out seed dim epochs alpha metrics stats", cmd_fit),
         "subgraphs" => ("model top", cmd_subgraphs),
-        "link" => (
-            "model tweets multi ivf nprobe quant rerank metrics stats",
-            cmd_link,
-        ),
+        "link" => ("model tweets multi ivf nprobe metrics stats", cmd_link),
         "serve" => (
-            "model port host threads queue max-body ivf nprobe quant rerank \
-             refit-data refit-interval snapshot-out seed dim epochs",
+            "model port host threads queue max-body ivf nprobe refit-data \
+             refit-interval snapshot-out seed dim epochs",
             cmd_serve,
         ),
         "ingest" => ("model tweets out handles", cmd_ingest),
@@ -268,29 +262,14 @@ fn cmd_subgraphs<W: Write>(flags: &Flags, out: &mut W) -> Result<(), CliError> {
 /// footgun is rejected loudly instead.
 fn parse_retrieval(flags: &Flags) -> Result<EngineMode, CliError> {
     let ivf = flags.has("ivf");
-    let quant = flags.has("quant");
-    if ivf && quant {
-        return Err(CliError::Usage(
-            "--ivf and --quant are different retrieval strategies; pick one".into(),
-        ));
-    }
     if flags.has("nprobe") && !ivf {
         return Err(CliError::Usage(
             "--nprobe only applies to IVF retrieval; add --ivf".into(),
         ));
     }
-    if flags.has("rerank") && !quant {
-        return Err(CliError::Usage(
-            "--rerank only applies to quantized retrieval; add --quant".into(),
-        ));
-    }
     if ivf {
         Ok(EngineMode::Ivf {
             nprobe: flags.get_usize("nprobe")?.unwrap_or(0),
-        })
-    } else if quant {
-        Ok(EngineMode::Quant {
-            rerank: flags.get_usize("rerank")?.unwrap_or(0),
         })
     } else {
         Ok(EngineMode::Exact)
@@ -305,7 +284,7 @@ fn cmd_link<W: Write>(flags: &Flags, out: &mut W) -> Result<(), CliError> {
     // All the query-independent work (row normalization, sparsification,
     // edge sorting) happens once here; each query then merges into the
     // cached cut. With `--ivf` the engine additionally builds a
-    // candidate index; with `--quant` it carries the i8 stage-1 scorer.
+    // candidate index.
     let engine = model
         .query_engine(mode)
         .map_err(|e| CliError::Failed(e.to_string()))?;
@@ -461,7 +440,6 @@ fn cmd_serve<W: Write>(flags: &Flags, out: &mut W) -> Result<(), CliError> {
             "serving {n_authors} authors{}{} on http://{addr} ({threads} threads, queue {queue_depth})",
             match mode {
                 EngineMode::Ivf { .. } => " with IVF index",
-                EngineMode::Quant { .. } => " with i8 fast path",
                 EngineMode::Exact => "",
             },
             if manager.is_some() {
@@ -1217,21 +1195,39 @@ mod tests {
             .unwrap()
         };
 
-        // Usage errors fire before any file is touched.
+        // Usage errors fire before any file is touched, and name the
+        // flag at fault: a missing one, or a retired one (`--format`, and
+        // the i8 plan's `--quant` / `--rerank`).
         let json = legacy_fixture("v2_index.json");
-        for args in [
-            &["convert", "--model", json.to_str().unwrap()][..],
-            &[
-                "convert",
-                "--model",
-                json.to_str().unwrap(),
-                "--out",
-                bin.to_str().unwrap(),
+        let (json_s, bin_s, tweets_s) = (
+            json.to_str().unwrap(),
+            bin.to_str().unwrap(),
+            tweets.to_str().unwrap(),
+        );
+        for (args, flag) in [
+            (&["convert", "--model", json_s][..], "--out"),
+            (
+                &[
+                    "convert", "--model", json_s, "--out", bin_s, "--format", "json",
+                ][..],
                 "--format",
-                "json",
-            ][..],
+            ),
+            (
+                &["link", "--model", json_s, "--tweets", tweets_s, "--quant"][..],
+                "--quant",
+            ),
+            (&["serve", "--model", json_s, "--quant"][..], "--quant"),
+            (
+                &[
+                    "link", "--model", json_s, "--tweets", tweets_s, "--rerank", "4",
+                ][..],
+                "--rerank",
+            ),
         ] {
-            assert!(matches!(run_to_string(args), Err(CliError::Usage(_))));
+            match run_to_string(args) {
+                Err(CliError::Usage(m)) => assert!(m.contains(flag), "{args:?}: {m}"),
+                other => panic!("{args:?}: expected a usage error, got {other:?}"),
+            }
         }
         assert!(!bin.exists(), "usage errors must not create the output");
 
@@ -1332,7 +1328,7 @@ mod tests {
     }
 
     #[test]
-    fn convert_quantize_shrinks_and_quant_links_serve() {
+    fn convert_quantize_shrinks_and_qi8_serves_every_plan() {
         let (data, model) = generate_and_fit("quant");
         let tweets = tmp("quant-tweets.txt");
         let qbin = tmp("quant-model.bin");
@@ -1355,84 +1351,25 @@ mod tests {
         let out = run_to_string(&["inspect", "--model", qbin.to_str().unwrap()]).unwrap();
         assert!(out.contains("qi8"), "got: {out}");
 
-        // Orphan tuning flags and conflicting strategies are usage
-        // errors, not silent ignores.
-        let err = run_to_string(&[
-            "link",
-            "--model",
-            qbin.to_str().unwrap(),
-            "--tweets",
-            tweets.to_str().unwrap(),
-            "--rerank",
-            "8",
-        ]);
-        match err {
-            Err(CliError::Usage(m)) => assert!(m.contains("--quant"), "{m}"),
-            other => panic!("expected usage error, got {other:?}"),
-        }
-        let err = run_to_string(&[
-            "link",
-            "--model",
-            qbin.to_str().unwrap(),
-            "--tweets",
-            tweets.to_str().unwrap(),
-            "--quant",
-            "--ivf",
-        ]);
-        match err {
-            Err(CliError::Usage(m)) => assert!(m.contains("pick one"), "{m}"),
-            other => panic!("expected usage error, got {other:?}"),
-        }
-
-        // The quantized two-stage path serves single and batched
-        // queries from the quantized snapshot.
-        let out = run_to_string(&[
-            "link",
-            "--model",
-            qbin.to_str().unwrap(),
-            "--tweets",
-            tweets.to_str().unwrap(),
-            "--quant",
-            "--rerank",
-            "8",
-        ])
-        .unwrap();
+        // qi8 is a storage encoding: the loader dequantizes it, and every
+        // plan serves the file, single and batched.
+        let link = |extra: &[&str]| {
+            let mut args = vec![
+                "link",
+                "--model",
+                qbin.to_str().unwrap(),
+                "--tweets",
+                tweets.to_str().unwrap(),
+            ];
+            args.extend_from_slice(extra);
+            run_to_string(&args).unwrap()
+        };
+        let out = link(&[]);
         assert!(out.contains("query author joined"), "got: {out}");
-        let out = run_to_string(&[
-            "link",
-            "--model",
-            qbin.to_str().unwrap(),
-            "--tweets",
-            tweets.to_str().unwrap(),
-            "--quant",
-            "--multi",
-        ])
-        .unwrap();
+        let out = link(&["--multi"]);
         assert!(out.contains("linked 1 query authors"), "got: {out}");
-
-        // rerank >= n makes the quantized path bit-identical to the
-        // exact one (the engine re-scores everyone), so the rendered
-        // output matches byte for byte.
-        let exact = run_to_string(&[
-            "link",
-            "--model",
-            model.to_str().unwrap(),
-            "--tweets",
-            tweets.to_str().unwrap(),
-        ])
-        .unwrap();
-        let quant_full = run_to_string(&[
-            "link",
-            "--model",
-            model.to_str().unwrap(),
-            "--tweets",
-            tweets.to_str().unwrap(),
-            "--quant",
-            "--rerank",
-            "1000",
-        ])
-        .unwrap();
-        assert_eq!(exact, quant_full);
+        let out = link(&["--multi", "--ivf"]);
+        assert!(out.contains("linked 1 query authors"), "got: {out}");
 
         for p in [&data, &model, &tweets, &qbin] {
             std::fs::remove_file(p).ok();

@@ -44,10 +44,7 @@ use crate::pipeline::Pipeline;
 use crate::snapshot::PipelineSnapshot;
 use soulmate_corpus::Timestamp;
 use soulmate_graph::{stack_pop_order, Edge, GraphError, SpanningForest, UnionFind};
-use soulmate_linalg::kernels::gram_rect_i8_blocked;
-use soulmate_linalg::{
-    dot, sub_assign, CenteredQuantizedRows, ChunkedRows, Matrix, QuantizedRows, RowSource,
-};
+use soulmate_linalg::{sub_assign, ChunkedRows, Matrix, RowSource};
 use soulmate_retrieval::{Candidates, IvfConfig, IvfIndex};
 use std::cmp::Ordering;
 use std::sync::{Arc, OnceLock};
@@ -721,27 +718,6 @@ impl CachedCut {
     }
 }
 
-/// The ranking order of a node's `(neighbour, similarity)` entries:
-/// similarity descending under the total order, ties by ascending id — a
-/// strict order, so a ranked prefix is deterministic.
-fn rank_order(a: &(usize, f32), b: &(usize, f32)) -> Ordering {
-    b.1.total_cmp(&a.1).then(a.0.cmp(&b.0))
-}
-
-/// The first `r` entries of `row` under [`rank_order`], in rank order.
-/// The order is strict, so selecting the top-`r` partition and sorting
-/// only that prefix gives the full sort's prefix in `O(len + r log r)`.
-fn top_ranked(mut row: Vec<(usize, f32)>, r: usize) -> Vec<(usize, f32)> {
-    if row.len() > r {
-        if let Some(last) = r.checked_sub(1) {
-            row.select_nth_unstable_by(last, rank_order);
-        }
-        row.truncate(r);
-    }
-    row.sort_unstable_by(rank_order);
-    row
-}
-
 /// Two runs of distinct edges, each in [`stack_pop_order`], interleaved
 /// in one pass: the full sort of their union. Holding each run's head by
 /// value, rather than behind two `Peekable`s, made an insert's merge and
@@ -820,129 +796,13 @@ fn backbone(sim: &[Vec<f32>], min_sim: f32) -> Vec<Edge> {
     edges
 }
 
-/// One similarity channel of the i8 fast path: the engine's unit rows,
-/// mean-centered and residual-quantized, plus the exact `f32` cross terms
-/// that reassemble a full cosine from a residual-only integer dot.
-///
-/// With `μ` the mean unit row, `r_a = â − μ` and `r_q = q̂ − μ`:
-///
-/// ```text
-/// dot(q̂, â) = dot(r_q, r_a) + dot(q̂, μ) + dot(â, μ) − dot(μ, μ)
-/// ```
-///
-/// Only the residual·residual term is approximated in i8 — its per-row
-/// scales are proportional to the *residual* magnitude, so the stage-1
-/// ranking error stays at the ~1/254 level even when every author's unit
-/// row clusters around one dominant direction (exactly the regime where
-/// quantizing the raw rows would drown the z-scored content channel in
-/// rounding noise). The other three terms are exact: `corr[a] = dot(â, μ)`
-/// is precomputed per author, `dot(q̂, μ)` costs O(d) per query.
-#[derive(Debug, Clone)]
-struct QuantChannel {
-    /// Mean-centered residual-quantized unit rows.
-    quant: CenteredQuantizedRows,
-    /// Exact `dot(unit_row_a, mean)` per author.
-    corr: Vec<f32>,
-    /// Exact `dot(mean, mean)`.
-    mean_sq: f32,
-}
-
-impl QuantChannel {
-    /// Quantize one unit-row matrix and precompute its exact cross terms.
-    fn build(unit: &ChunkedRows) -> QuantChannel {
-        let quant = CenteredQuantizedRows::quantize(unit);
-        let corr = unit.iter_rows().map(|row| dot(row, quant.mean())).collect();
-        let mean_sq = dot(quant.mean(), quant.mean());
-        QuantChannel {
-            quant,
-            corr,
-            mean_sq,
-        }
-    }
-
-    /// Approximate `dot(query_row, unit_row_a)` for every query × author
-    /// pair: residual·residual in i8 via [`gram_rect_i8_blocked`], exact
-    /// cross terms added back per the type-level identity.
-    ///
-    /// # Errors
-    /// [`CoreError::Internal`] when the query rows are ragged (vectorized
-    /// rows always share the model dimension).
-    fn approx_dots(&self, queries: &Matrix) -> Result<Vec<Vec<f32>>, CoreError> {
-        let mut residuals = Vec::with_capacity(queries.rows());
-        let mut query_corr = Vec::with_capacity(queries.rows());
-        for row in queries.iter_rows() {
-            query_corr.push(dot(row, self.quant.mean()));
-            residuals.push(
-                row.iter()
-                    .zip(self.quant.mean())
-                    .map(|(&v, &mu)| v - mu)
-                    .collect::<Vec<f32>>(),
-            );
-        }
-        let residuals = Matrix::from_rows(&residuals)
-            .map_err(|_| CoreError::Internal("query rows share one dim"))?;
-        let mut grid =
-            gram_rect_i8_blocked(&QuantizedRows::quantize(&residuals), self.quant.rows());
-        for (row, &cq) in grid.iter_mut().zip(&query_corr) {
-            let shift = cq - self.mean_sq;
-            for (v, &ca) in row.iter_mut().zip(&self.corr) {
-                *v += shift + ca;
-            }
-        }
-        Ok(grid)
-    }
-}
-
-/// i8-quantized mirrors of the engine's unit row matrices, built once by
-/// [`QueryEngine::enable_quant`]. Stage 1 of the quantized path scores
-/// queries against these in integer arithmetic; the exact `f32` unit
-/// matrices stay resident for the stage-2 re-rank.
-#[derive(Debug, Clone)]
-pub(crate) struct QuantState {
-    /// Quantized unit content rows.
-    content: QuantChannel,
-    /// Quantized unit (mean-centered) concept rows.
-    concept: QuantChannel,
-}
-
-/// Number of top approximate candidates the quantized path re-ranks
-/// exactly when the caller passes `rerank = 0`.
-pub const DEFAULT_QUANT_RERANK: usize = 128;
-
-/// The per-path metric names [`QueryEngine::serve_candidates`] reports
-/// under — the IVF and quantized retrievers share the stage-2 machinery
-/// but must stay separately observable.
-struct CandidateMetrics {
-    stage2_seconds: &'static str,
-    queries: &'static str,
-    candidates: &'static str,
-    candidate_fraction: &'static str,
-    query_seconds: &'static str,
-}
-
-const IVF_METRICS: CandidateMetrics = CandidateMetrics {
-    stage2_seconds: "engine.ivf.stage2.seconds",
-    queries: "engine.ivf.queries",
-    candidates: "engine.ivf.candidates",
-    candidate_fraction: "engine.ivf.candidate_fraction",
-    query_seconds: "engine.ivf.query.seconds",
-};
-
-const QUANT_METRICS: CandidateMetrics = CandidateMetrics {
-    stage2_seconds: "engine.quant.stage2.seconds",
-    queries: "engine.quant.queries",
-    candidates: "engine.quant.candidates",
-    candidate_fraction: "engine.quant.candidate_fraction",
-    query_seconds: "engine.quant.query.seconds",
-};
-
 /// The retrieval plan an engine serves queries with: which candidate
 /// stage picks the authors that get an exact score before the cut.
 ///
 /// The mode is a property of the *deployment*, not of one generation:
 /// [`crate::ingest::EngineGeneration::ingest`] and
-/// [`crate::ingest::RefitManager::refit`] both propagate it, so a
-/// quantized server stays quantized across swaps.
+/// [`crate::ingest::RefitManager::refit`] both propagate it, so an IVF
+/// server stays on the IVF plan across swaps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineMode {
     /// Score every author exactly.
@@ -952,11 +812,6 @@ pub enum EngineMode {
     /// index (e.g. after a delta ingest detached it) queries are served
     /// exactly and counted in `engine.ivf.fallbacks`.
     Ivf { nprobe: usize },
-    /// i8 stage-1 scoring of every author, then an exact re-score of the
-    /// top `rerank` (`0` = [`DEFAULT_QUANT_RERANK`]). Without the i8
-    /// state queries are served exactly and counted in
-    /// `engine.quant.fallbacks`.
-    Quant { rerank: usize },
 }
 
 /// Precomputed online serving state over a [`QueryModel`] and its
@@ -977,7 +832,7 @@ pub struct QueryEngine<'a> {
 /// [`Arc`] so an owned generation ([`crate::ingest::EngineGeneration`])
 /// can hand out borrowed [`QueryEngine`] views without rebuilding or
 /// cloning the `O(n·d)` / `O(n)` structures per request — cloning
-/// `EngineParts` is five reference-count bumps.
+/// `EngineParts` is four reference-count bumps.
 #[derive(Debug, Clone)]
 pub(crate) struct EngineParts {
     /// Author content rows scaled to unit norm.
@@ -989,9 +844,6 @@ pub(crate) struct EngineParts {
     /// Optional sub-linear candidate retriever. `None` = the IVF plan
     /// serves the exact path (and counts the fallback).
     pub(crate) index: Option<Arc<IvfIndex>>,
-    /// Optional i8 fast path. `None` = the quantized plan serves the
-    /// exact path (and counts the fallback).
-    pub(crate) quant: Option<Arc<QuantState>>,
     /// The plan [`QueryEngine::link_query_authors`] serves.
     pub(crate) mode: EngineMode,
 }
@@ -1029,7 +881,6 @@ impl<'a> QueryEngine<'a> {
                 concept_rows: Arc::new(concept_rows),
                 cut,
                 index: None,
-                quant: None,
                 mode: EngineMode::Exact,
             },
         })
@@ -1068,9 +919,8 @@ impl<'a> QueryEngine<'a> {
     }
 
     /// The same engine serving another plan — a few reference-count
-    /// bumps, so one build can compare exact, IVF and quantized answers.
-    /// The plan's structure must already be built
-    /// ([`QueryEngine::build_index`] / [`QueryEngine::enable_quant`]);
+    /// bumps, so one build can compare exact and IVF answers. The IVF
+    /// plan's index must already be built ([`QueryEngine::build_index`]);
     /// without it queries fall back to the exact path.
     pub fn with_mode(&self, mode: EngineMode) -> QueryEngine<'a> {
         let mut engine = self.clone();
@@ -1083,9 +933,8 @@ impl<'a> QueryEngine<'a> {
     /// gives the same answers as [`crate::online::link_query`], amortized:
     /// the similarity rows of the whole batch are computed with two
     /// chunk-wise scoring calls ([`ChunkedRows::dots`]), then each query
-    /// is cut against the cached backbone independently. The IVF and quantized
-    /// plans pick each query's candidates first and score only those
-    /// exactly.
+    /// is cut against the cached backbone independently. The IVF plan
+    /// picks each query's candidates first and scores only those exactly.
     ///
     /// Outcomes are index-aligned with `queries`, and each is
     /// bit-identical to serving its query alone.
@@ -1105,7 +954,6 @@ impl<'a> QueryEngine<'a> {
         match self.parts.mode {
             EngineMode::Exact => self.serve(qvecs),
             EngineMode::Ivf { nprobe } => self.serve_ivf(qvecs, nprobe),
-            EngineMode::Quant { rerank } => self.serve_quant(qvecs, rerank),
         }
     }
 
@@ -1272,21 +1120,20 @@ impl<'a> QueryEngine<'a> {
         obs.record_duration("engine.ivf.probe.seconds", probe_start.elapsed());
 
         let sets: Vec<Vec<u32>> = candidate_sets.into_iter().map(|c| c.ids).collect();
-        self.serve_candidates(qvecs, sets, &IVF_METRICS)
+        self.serve_candidates(qvecs, sets)
     }
 
-    /// Stage 2 shared by the IVF and quantized retrievers: exact-score
-    /// every query against the union of all candidate sets (one
-    /// [`ChunkedRows::dots_at`] call per matrix, not one per query) and
-    /// cut each query against the cached backbone like
+    /// Stage 2 of the IVF plan: exact-score every query against the
+    /// union of all candidate sets (one [`ChunkedRows::dots_at`] call per
+    /// matrix, not one per query) and cut each query against the cached
+    /// backbone like
     /// [`CachedCut::cut_with_candidates_component`]. A candidate's
     /// reported score is bit-identical to its exact-path score — stage 1
     /// only ever decides *which* authors get scored. When the union covers
     /// every author, every author gets its exact-path score, so the whole
     /// outcome is bit-identical to [`QueryEngine::serve`].
-    // Indexing is in-bounds by construction: both candidate producers (the
-    // IVF probe, built by `build_index` over these rows, and the quantized
-    // top-R selection over 0..n) emit author ids < n; `pos_of` has n
+    // Indexing is in-bounds by construction: the IVF probe, built by
+    // `build_index` over these rows, emits author ids < n; `pos_of` has n
     // entries written for every union member before any read;
     // `fused_union` has one entry per union member.
     #[allow(clippy::indexing_slicing)]
@@ -1294,7 +1141,6 @@ impl<'a> QueryEngine<'a> {
         &self,
         qvecs: Vec<QueryVectors>,
         candidate_sets: Vec<Vec<u32>>,
-        metrics: &CandidateMetrics,
     ) -> Result<Vec<QueryOutcome>, CoreError> {
         let obs = soulmate_obs::global();
         let n = self.parts.cut.n_authors();
@@ -1326,7 +1172,7 @@ impl<'a> QueryEngine<'a> {
         let (content_q, concept_q) = query_unit_rows(&qvecs);
         let content_dots = self.parts.content_rows.dots_at(&content_q, &union_ids);
         let concept_dots = self.parts.concept_rows.dots_at(&concept_q, &union_ids);
-        obs.record_duration(metrics.stage2_seconds, stage2_start.elapsed());
+        obs.record_duration("engine.ivf.stage2.seconds", stage2_start.elapsed());
 
         let query_index = n;
         let mut outcomes = Vec::with_capacity(qvecs.len());
@@ -1352,111 +1198,15 @@ impl<'a> QueryEngine<'a> {
             }
             let cut = self.parts.cut.candidates_subgraph(ids, &cand_sims)?;
             outcomes.push(outcome(q, query_index, similarities, cut));
-            obs.incr(metrics.queries, 1);
-            obs.record(metrics.candidates, ids.len() as f64);
+            obs.incr("engine.ivf.queries", 1);
+            obs.record("engine.ivf.candidates", ids.len() as f64);
             obs.record(
-                metrics.candidate_fraction,
+                "engine.ivf.candidate_fraction",
                 ids.len() as f64 / n.max(1) as f64,
             );
-            obs.record_duration(metrics.query_seconds, start.elapsed());
+            obs.record_duration("engine.ivf.query.seconds", start.elapsed());
         }
         Ok(outcomes)
-    }
-
-    /// Build the i8 fast path: quantize this engine's unit content and
-    /// centered-concept rows ([`QuantizedRows`], one byte per value plus a
-    /// per-row scale and exact norm). The exact `f32` matrices stay
-    /// resident — stage 2 of the [`EngineMode::Quant`] plan re-ranks the
-    /// top candidates through them, so a reported candidate score is
-    /// always the exact one. Quantization is deterministic, so two engines
-    /// over the same model build identical state.
-    pub fn enable_quant(&mut self) {
-        let obs = soulmate_obs::global();
-        let start = std::time::Instant::now();
-        self.parts.quant = Some(Arc::new(QuantState {
-            content: QuantChannel::build(&self.parts.content_rows),
-            concept: QuantChannel::build(&self.parts.concept_rows),
-        }));
-        obs.record_duration("engine.quant.build.seconds", start.elapsed());
-        obs.incr("engine.quant.builds", 1);
-    }
-
-    /// Is the i8 fast path built?
-    pub fn quant_enabled(&self) -> bool {
-        self.parts.quant.is_some()
-    }
-
-    /// Serve pre-vectorized queries through the quantized two-stage path
-    /// ([`EngineMode::Quant`]): one i8 Gram call per matrix scores the
-    /// whole batch (stage 1), each query keeps its `rerank` highest
-    /// approximate fused scores (`0` = [`DEFAULT_QUANT_RERANK`]), and the
-    /// shared [`QueryEngine::serve_candidates`] stage exact-scores and
-    /// cuts them. Quantization error can only change *which* authors are
-    /// scored, never a reported score; non-candidates report `0.0` ("not
-    /// scored") exactly like the IVF retriever, and `rerank >= n_authors()`
-    /// makes the whole outcome bit-identical to the exact path. Without
-    /// [`QueryEngine::enable_quant`] this serves the exact path and bumps
-    /// `engine.quant.fallbacks`.
-    fn serve_quant(
-        &self,
-        qvecs: Vec<QueryVectors>,
-        rerank: usize,
-    ) -> Result<Vec<QueryOutcome>, CoreError> {
-        if qvecs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let obs = soulmate_obs::global();
-        let n = self.parts.cut.n_authors();
-        // u32::MAX widens losslessly into usize on every supported target;
-        // candidate ids are u32, so a larger model serves exactly.
-        let oversize = n > u32::MAX as usize;
-        let Some(quant) = self.parts.quant.as_ref().filter(|_| !oversize) else {
-            obs.incr("engine.quant.fallbacks", 1);
-            return self.serve(qvecs);
-        };
-        let r = if rerank == 0 {
-            DEFAULT_QUANT_RERANK
-        } else {
-            rerank
-        }
-        .min(n);
-
-        // ---- Stage 1: approximate fused scores in i8. Query unit rows
-        // are residual-quantized against each channel's author mean; the
-        // residual·residual term runs in integer arithmetic and the exact
-        // cross terms are added back (see [`QuantChannel`]). ----
-        let stage1_start = std::time::Instant::now();
-        let content_q: Vec<Vec<f32>> = qvecs.iter().map(|q| q.content_unit.clone()).collect();
-        let concept_q: Vec<Vec<f32>> = qvecs
-            .iter()
-            .map(|q| q.concept_centered_unit.clone())
-            .collect();
-        let content_q = Matrix::from_rows(&content_q)
-            .map_err(|_| CoreError::Internal("query content rows share one dim"))?;
-        let concept_q = Matrix::from_rows(&concept_q)
-            .map_err(|_| CoreError::Internal("query concept rows share one dim"))?;
-        let content_approx = quant.content.approx_dots(&content_q)?;
-        let concept_approx = quant.concept.approx_dots(&concept_q)?;
-        obs.record_duration("engine.quant.stage1.seconds", stage1_start.elapsed());
-
-        // Per query: the top-`r` author ids by approximate fused score
-        // under [`rank_order`] (strict, so the selection is
-        // deterministic), emitted ascending for the sparse cut's fast
-        // path.
-        let mut candidate_sets: Vec<Vec<u32>> = Vec::with_capacity(qvecs.len());
-        for qi in 0..qvecs.len() {
-            let (content_row, concept_row) = content_approx
-                .get(qi)
-                .zip(concept_approx.get(qi))
-                .ok_or(CoreError::Internal("one approx row per query"))?;
-            let fused = fused_row_from_dots(&self.model, content_row, concept_row);
-            let top = top_ranked(fused.into_iter().enumerate().collect(), r);
-            // id < n <= u32::MAX (guarded above): value-preserving cast.
-            let mut ids: Vec<u32> = top.into_iter().map(|(id, _)| id as u32).collect();
-            ids.sort_unstable();
-            candidate_sets.push(ids);
-        }
-        self.serve_candidates(qvecs, candidate_sets, &QUANT_METRICS)
     }
 }
 
@@ -1547,19 +1297,16 @@ fn probe_vector(q: &QueryVectors) -> Vec<f32> {
 
 /// Build the amortized serving engine over `model` and its `cut`,
 /// serving `mode`: the IVF plan builds an index from the model's own
-/// matrices with [`IvfConfig::default`], the quantized plan builds the
-/// i8 state. (Custom index configurations go through
-/// [`QueryEngine::build_index`] and [`QueryEngine::with_mode`].)
+/// matrices with [`IvfConfig::default`]. (Custom index configurations go
+/// through [`QueryEngine::build_index`] and [`QueryEngine::with_mode`].)
 fn plan_engine(
     model: QueryModel<'_>,
     cut: Arc<CachedCut>,
     mode: EngineMode,
 ) -> Result<QueryEngine<'_>, CoreError> {
     let mut engine = QueryEngine::new(model, cut)?;
-    match mode {
-        EngineMode::Exact => {}
-        EngineMode::Ivf { .. } => engine.build_index(&IvfConfig::default())?,
-        EngineMode::Quant { .. } => engine.enable_quant(),
+    if let EngineMode::Ivf { .. } = mode {
+        engine.build_index(&IvfConfig::default())?;
     }
     engine.parts.mode = mode;
     Ok(engine)
@@ -1583,10 +1330,9 @@ impl Pipeline {
 impl PipelineSnapshot {
     /// Build the amortized serving engine over this loaded snapshot,
     /// serving `mode`, sharing the snapshot's cut: the IVF plan builds an
-    /// index from the snapshot's own matrices with [`IvfConfig::default`],
-    /// the quantized plan builds the i8 state. (Custom index
-    /// configurations go through [`QueryEngine::build_index`] and
-    /// [`QueryEngine::with_mode`].)
+    /// index from the snapshot's own matrices with [`IvfConfig::default`].
+    /// (Custom index configurations go through [`QueryEngine::build_index`]
+    /// and [`QueryEngine::with_mode`].)
     ///
     /// # Errors
     /// [`CoreError`] when the cut does not cover the snapshot's authors (a
@@ -2130,21 +1876,25 @@ mod tests {
     #[test]
     fn with_mode_switches_the_plan_over_one_build() {
         let (d, p) = fitted();
-        let engine = p.query_engine(EngineMode::Quant { rerank: 3 }).unwrap();
-        assert_eq!(engine.mode(), EngineMode::Quant { rerank: 3 });
+        let engine = p.query_engine(EngineMode::Ivf { nprobe: 1 }).unwrap();
+        assert_eq!(engine.mode(), EngineMode::Ivf { nprobe: 1 });
         let exact = engine.with_mode(EngineMode::Exact);
         assert_eq!(exact.mode(), EngineMode::Exact);
-        // The view shares the build: no second cut, no second i8 state.
+        // The view shares the build: no second cut, no second index.
         assert!(Arc::ptr_eq(&engine.parts.cut, &exact.parts.cut));
-        assert!(exact.quant_enabled());
+        assert!(std::ptr::eq(
+            engine.index().unwrap(),
+            exact.index().unwrap()
+        ));
         let tweets = author_tweets(&d, 6, 6);
         let want = link_query(&p.query_model(), &p.x_total, &tweets).unwrap();
         let got = link_one(&exact, &tweets);
         assert_eq!(want.similarities, got.similarities);
         assert_eq!(want.subgraph, got.subgraph);
-        // The quantized plan really is a different one: 3 scored authors.
-        let quant = link_one(&engine, &tweets);
-        assert!(quant.similarities.iter().filter(|&&s| s != 0.0).count() <= 3);
+        // The IVF plan really is a different one: one probed centroid
+        // leaves authors unscored.
+        let ivf = link_one(&engine, &tweets);
+        assert!(ivf.similarities.iter().filter(|&&s| s != 0.0).count() < engine.n_authors());
     }
 
     #[test]
@@ -2300,152 +2050,6 @@ mod tests {
         assert!(
             scored < engine.n_authors() || exact.similarities.contains(&0.0),
             "nprobe=1 with 6 centroids should prune someone"
-        );
-    }
-
-    #[test]
-    fn quant_full_rerank_matches_exact_engine_bit_for_bit() {
-        let (d, p) = fitted();
-        let mut engine = p.query_engine(EngineMode::Exact).unwrap();
-        engine.enable_quant();
-        assert!(engine.quant_enabled());
-        let n = engine.n_authors();
-        // rerank >= n triggers the full-re-rank contract: every author is
-        // a candidate, so the whole outcome must be bit-identical.
-        let quant_engine = engine.with_mode(EngineMode::Quant { rerank: n });
-        for author in [0u32, 5, 13, 19] {
-            let tweets = author_tweets(&d, author, 6);
-            let exact = link_one(&engine, &tweets);
-            let quant = link_one(&quant_engine, &tweets);
-            assert_eq!(exact.similarities, quant.similarities, "author {author}");
-            assert_eq!(exact.subgraph, quant.subgraph, "author {author}");
-            assert_eq!(exact.subgraph_avg_weight, quant.subgraph_avg_weight);
-            assert_eq!(exact.content_vector, quant.content_vector);
-            assert_eq!(exact.concept_vector, quant.concept_vector);
-        }
-    }
-
-    #[test]
-    fn quant_rerank_contract_scores_candidates_exactly() {
-        let (d, p) = fitted();
-        let rerank = 4;
-        let engine = p.query_engine(EngineMode::Quant { rerank }).unwrap();
-        let n = engine.n_authors();
-        assert!(rerank < n, "fixture must force a partial re-rank");
-        let tweets = author_tweets(&d, 7, 6);
-        let exact = link_one(&engine.with_mode(EngineMode::Exact), &tweets);
-        let quant = link_one(&engine, &tweets);
-        // Every scored candidate carries its exact-path score, bit for
-        // bit — quantization only ever decides *which* authors are scored.
-        let mut scored = 0usize;
-        for (i, (&got, &want)) in quant
-            .similarities
-            .iter()
-            .zip(&exact.similarities)
-            .enumerate()
-        {
-            if got != 0.0 {
-                assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "candidate {i} diverges from exact score"
-                );
-                scored += 1;
-            }
-        }
-        assert!(scored > 0, "quantized path scored nothing");
-        assert!(scored <= rerank, "more candidates than rerank budget");
-        // The exact top-1 author must survive stage 1 on this fixture —
-        // i8 error is far smaller than the fixture's score gaps.
-        let top1 = exact
-            .similarities
-            .iter()
-            .enumerate()
-            .max_by(|(_, a), (_, b)| a.total_cmp(b))
-            .map(|(i, _)| i)
-            .unwrap();
-        assert!(
-            quant.similarities[top1] != 0.0,
-            "exact top-1 author {top1} missing from quantized candidates"
-        );
-    }
-
-    #[test]
-    fn quant_batch_matches_per_query_bit_for_bit() {
-        let (d, p) = fitted();
-        let engine = p.query_engine(EngineMode::Quant { rerank: 0 }).unwrap();
-        let queries: Vec<Vec<(Timestamp, String)>> = vec![
-            author_tweets(&d, 2, 6),
-            author_tweets(&d, 8, 4),
-            author_tweets(&d, 17, 9),
-        ];
-        // A small rerank makes the batch union a strict superset of each
-        // query's own candidates — parity proves the shared stage-2 Gram
-        // call scores rows identically to the per-query one.
-        for rerank in [3usize, 8, 0] {
-            let engine = engine.with_mode(EngineMode::Quant { rerank });
-            let batch = engine.link_query_authors(&queries).unwrap();
-            assert_eq!(batch.len(), queries.len());
-            for (q, out) in queries.iter().zip(&batch) {
-                let single = link_one(&engine, q);
-                assert_eq!(single.similarities, out.similarities, "rerank {rerank}");
-                assert_eq!(single.subgraph, out.subgraph, "rerank {rerank}");
-                assert_eq!(single.subgraph_avg_weight, out.subgraph_avg_weight);
-            }
-        }
-        // Empty batch is fine; an invalid member fails the whole batch.
-        let engine = engine.with_mode(EngineMode::Quant { rerank: 1 });
-        assert!(engine.link_query_authors(&[]).unwrap().is_empty());
-        assert!(engine
-            .link_query_authors(&[author_tweets(&d, 1, 3), Vec::new()])
-            .is_err());
-    }
-
-    #[test]
-    fn quant_without_state_falls_back_to_exact() {
-        let (d, p) = fitted();
-        let engine = p.query_engine(EngineMode::Exact).unwrap();
-        assert!(!engine.quant_enabled());
-        let tweets = author_tweets(&d, 3, 5);
-        let before = soulmate_obs::global().counter("engine.quant.fallbacks");
-        let quant = link_one(&engine.with_mode(EngineMode::Quant { rerank: 8 }), &tweets);
-        let exact = link_one(&engine, &tweets);
-        assert_eq!(exact.similarities, quant.similarities);
-        assert_eq!(exact.subgraph, quant.subgraph);
-        assert!(soulmate_obs::global().counter("engine.quant.fallbacks") > before);
-    }
-
-    #[test]
-    fn quant_recall_at_10_is_high_on_fixture() {
-        let (d, p) = fitted();
-        let engine = p.query_engine(EngineMode::Quant { rerank: 0 }).unwrap();
-        let n = engine.n_authors();
-        let k = 10.min(n);
-        // A small margin over k: the quantized top-(k+5) must recover the
-        // exact top-k, i.e. i8 error may shuffle ranks only locally.
-        let quant_engine = engine.with_mode(EngineMode::Quant {
-            rerank: (k + 5).min(n),
-        });
-        let exact_engine = engine.with_mode(EngineMode::Exact);
-        let mut hits = 0usize;
-        let mut total = 0usize;
-        for author in 0..20u32 {
-            let tweets = author_tweets(&d, author, 6);
-            let exact = link_one(&exact_engine, &tweets);
-            let quant = link_one(&quant_engine, &tweets);
-            let mut ranked: Vec<usize> = (0..n).collect();
-            ranked.sort_by(|&a, &b| exact.similarities[b].total_cmp(&exact.similarities[a]));
-            for &id in ranked.iter().take(k) {
-                total += 1;
-                if quant.similarities[id] != 0.0 {
-                    hits += 1;
-                }
-            }
-        }
-        let recall = hits as f64 / total as f64;
-        assert!(
-            recall >= 0.99,
-            "quantized recall@{k} {recall} below the 0.99 floor"
         );
     }
 

@@ -28,7 +28,7 @@
 //!   v3 binary writer and becomes the next serving generation.
 //! * **Hot swap** ([`EngineCell`]) — generations are owned,
 //!   `Arc`-swappable engine states. Workers clone the current generation
-//!   per request (five reference-count bumps) and the publisher replaces
+//!   per request (four reference-count bumps) and the publisher replaces
 //!   the slot under a mutex held for nanoseconds, so a refit lands with
 //!   zero dropped or blocked requests and every in-flight request keeps
 //!   serving from one consistent generation.
@@ -46,7 +46,6 @@
 //! predates the new rows; counted in `ingest.index_detached`) and
 //! rebuilt at the next refit — the IVF plan transparently falls back to
 //! the exact path meanwhile (counted in `engine.ivf.fallbacks`).
-//! Quantized state is rebuilt inline (deterministic, `O(n·d)`).
 
 use crate::engine::{CachedCut, EngineMode, EngineParts, QueryEngine};
 use crate::error::CoreError;
@@ -139,13 +138,12 @@ impl EngineGeneration {
     /// fused similarity row against the current rows (the query path's
     /// chunk-wise scoring + `fused_row_from_dots`, bit-identical to a
     /// query's row), grow the author rows and handles, and splice the new
-    /// edges into the cached cut — `O(n·d + n log n)`, nothing `n²`. The
-    /// quantized state is rebuilt (deterministic); an IVF index is
-    /// detached until the next refit. The new generation shares the
-    /// frozen vocabulary and collective embedding with this one, and every
-    /// full chunk of its author rows; it copies the packed handles and at
-    /// most one tail chunk (`TILE − 1` rows) per matrix, and the insert
-    /// builds the grown cut's backbone afresh.
+    /// edges into the cached cut — `O(n·d + n log n)`, nothing `n²`. An
+    /// IVF index is detached until the next refit. The new generation
+    /// shares the frozen vocabulary and collective embedding with this
+    /// one, and every full chunk of its author rows; it copies the packed
+    /// handles and at most one tail chunk (`TILE − 1` rows) per matrix,
+    /// and the insert builds the grown cut's backbone afresh.
     ///
     /// # Errors
     /// [`CoreError::Invalid`] when `batches` is empty or any author has
@@ -213,12 +211,11 @@ impl EngineGeneration {
 
         let cut = Arc::new(grown.ok_or(CoreError::Internal("a non-empty batch grows the cut"))?);
         snapshot.cut = Arc::clone(&cut);
-        let mut parts = EngineParts {
+        let parts = EngineParts {
             content_rows: Arc::new(content_rows),
             concept_rows: Arc::new(concept_rows),
             cut,
             index: None,
-            quant: None,
             mode: self.parts.mode,
         };
         if self.parts.index.is_some() {
@@ -226,14 +223,6 @@ impl EngineGeneration {
             // must never route a query, so it is dropped (the IVF plan
             // falls back to exact) and rebuilt by the next refit.
             obs.incr("ingest.index_detached", 1);
-        }
-        if self.parts.quant.is_some() {
-            // Rebuild through the engine mutator so the quantized state
-            // is byte-identical to a fresh `enable_quant` on the grown
-            // rows (quantization is deterministic).
-            let mut tmp = QueryEngine::from_parts(snapshot.query_model(), parts.clone());
-            tmp.enable_quant();
-            parts = tmp.parts().clone();
         }
 
         obs.incr("ingest.batches", 1);
@@ -739,29 +728,6 @@ mod tests {
         drop(last);
         assert!(vocab.upgrade().is_none() && collective.upgrade().is_none());
         assert!(full_chunks.iter().all(|w| w.upgrade().is_none()));
-    }
-
-    #[test]
-    fn quant_generation_rebuilds_quant_state_on_ingest() {
-        let (d, snapshot, _) = fitted_shared();
-        let gen0 =
-            EngineGeneration::from_snapshot(snapshot.clone(), EngineMode::Quant { rerank: 0 })
-                .unwrap();
-        assert!(gen0.engine().quant_enabled());
-        let (gen1, _) = gen0.ingest(&[batch(d, 3, 8, "q-new")]).unwrap();
-        assert!(gen1.engine().quant_enabled(), "mode survives the delta");
-
-        // The rebuilt quantized state serves exactly like a fresh
-        // quantized engine over the grown snapshot.
-        let fresh = gen1
-            .snapshot()
-            .query_engine(EngineMode::Quant { rerank: 0 })
-            .unwrap();
-        let tweets = author_tweets(d, 8, 6);
-        let want = link_one(&fresh, &tweets);
-        let got = link_one(&gen1.engine(), &tweets);
-        assert_eq!(want.similarities, got.similarities);
-        assert_eq!(want.subgraph, got.subgraph);
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub use baselines::{author_similarity, Method};
 pub use concepts::{
     discover_concepts, discover_concepts_weighted, ConceptConfig, ConceptModel, ConceptSpace,
 };
-pub use engine::{CachedCut, EngineMode, QueryEngine, DEFAULT_QUANT_RERANK};
+pub use engine::{CachedCut, EngineMode, QueryEngine};
 pub use error::CoreError;
 pub use ingest::{EngineCell, EngineGeneration, IngestBatch, IngestOutcome, RefitManager};
 pub use online::{link_query, QueryModel, QueryOutcome, Trigger};

@@ -170,25 +170,24 @@ impl TemporalEmbedding {
             });
         let results = results?;
 
-        // Group by level and normalize accuracies within each level.
-        let mut models: Vec<Vec<SlabModel>> = (0..slab_index.n_levels())
-            .map(|level| {
-                let mut level_models: Vec<SlabModel> = results
-                    .iter()
-                    .filter(|(l, _, _, _)| *l == level)
-                    .map(|(l, s, e, a)| SlabModel {
-                        level: *l,
-                        slab: *s,
-                        embedding: e.clone(),
-                        accuracy: *a,
-                        norm_accuracy: 0.0,
-                    })
-                    .collect();
-                level_models.sort_by_key(|m| m.slab);
-                level_models
-            })
-            .collect();
+        // Group by level, moving each slab's embedding (no copy), and
+        // normalize accuracies within each level.
+        let mut models: Vec<Vec<SlabModel>> =
+            (0..slab_index.n_levels()).map(|_| Vec::new()).collect();
+        for (level, slab, embedding, accuracy) in results {
+            models
+                .get_mut(level)
+                .ok_or(CoreError::Internal("slab level within the slab index"))?
+                .push(SlabModel {
+                    level,
+                    slab,
+                    embedding,
+                    accuracy,
+                    norm_accuracy: 0.0,
+                });
+        }
         for level_models in &mut models {
+            level_models.sort_by_key(|m| m.slab);
             let total: f32 = level_models.iter().map(|m| m.accuracy).sum();
             let n = level_models.len().max(1) as f32;
             for m in level_models.iter_mut() {

@@ -219,11 +219,7 @@ fn exhaustive_ivf_equals_exact_on_indexed_fixtures() {
 #[test]
 fn quantized_fixture_serves_every_plan() {
     let snap = PipelineSnapshot::load(&fixture("v3_qi8.bin")).unwrap();
-    for mode in [
-        EngineMode::Exact,
-        EngineMode::Ivf { nprobe: 0 },
-        EngineMode::Quant { rerank: 0 },
-    ] {
+    for mode in [EngineMode::Exact, EngineMode::Ivf { nprobe: 0 }] {
         let engine = snap.query_engine(mode).unwrap();
         let got = engine
             .link_query_authors(&[fixture_query()])
@@ -268,7 +264,7 @@ fn v2_json_to_v3_binary_migration_serves_bit_for_bit() {
     assert_eq!(from_bin.alpha, from_json.alpha);
     assert_eq!(from_bin.cut.base_edges(), from_json.cut.base_edges());
 
-    for mode in [EngineMode::Exact, EngineMode::Quant { rerank: 1000 }] {
+    for mode in [EngineMode::Exact, EngineMode::Ivf { nprobe: 0 }] {
         let want = serve(&from_json, mode);
         let got = serve(&from_bin, mode);
         assert_eq!(want.similarities, got.similarities);

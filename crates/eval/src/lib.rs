@@ -47,6 +47,5 @@ pub use protocol::{
 };
 pub use render::TextTable;
 pub use retrieval::{
-    generation_agreement, quant_recall_at_k, quant_recall_sweep, recall_at_k, recall_sweep,
-    GenerationAgreementReport, QuantRecallReport, RecallReport,
+    generation_agreement, recall_at_k, recall_sweep, GenerationAgreementReport, RecallReport,
 };

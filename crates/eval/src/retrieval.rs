@@ -122,96 +122,6 @@ pub fn recall_at_k(
     })
 }
 
-/// Recall of the quantized two-stage path at one re-rank depth.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantRecallReport {
-    /// Re-rank depth measured (`0` = the engine default).
-    pub rerank: usize,
-    /// Ranking depth `k` of the ground-truth top-k.
-    pub k: usize,
-    /// Queries evaluated.
-    pub n_queries: usize,
-    /// Mean fraction of the exact top-k present in the quantized top-k.
-    pub recall_at_k: f64,
-    /// Mean number of exactly-scored candidates per query (the stage-2
-    /// cost; bounded by `rerank`).
-    pub mean_candidates: f64,
-}
-
-/// Measure end-to-end ranking recall@`k` of the quantized two-stage path
-/// (`EngineMode::Quant { rerank }`) against the exact engine on the same
-/// queries. Because stage 2 re-scores its candidates with bit-identical
-/// exact similarities, a lost author is always a stage-1 (i8
-/// approximation) casualty — this is the number the ISSUE 8 acceptance
-/// bar (recall@10 ≥ 0.99) pins.
-///
-/// # Errors
-/// [`EvalError::Invalid`] when the engine has no quantized state built
-/// ([`soulmate_core::QueryEngine::enable_quant`]) or a query fails to
-/// vectorize; [`EvalError::InsufficientData`] for an empty query set or
-/// `k = 0`.
-pub fn quant_recall_at_k(
-    engine: &QueryEngine<'_>,
-    queries: &[Vec<(Timestamp, String)>],
-    k: usize,
-    rerank: usize,
-) -> Result<QuantRecallReport, EvalError> {
-    if queries.is_empty() {
-        return Err(EvalError::InsufficientData("no queries".into()));
-    }
-    if k == 0 {
-        return Err(EvalError::InsufficientData("k must be positive".into()));
-    }
-    if !engine.quant_enabled() {
-        return Err(EvalError::Invalid(
-            "engine has no quantized state built (call enable_quant)".into(),
-        ));
-    }
-    let k = k.min(engine.n_authors());
-    let mut hits = 0usize;
-    let mut total = 0usize;
-    let mut candidates = 0usize;
-    let exact = outcomes_under(engine, EngineMode::Exact, queries)?;
-    let approx = outcomes_under(engine, EngineMode::Quant { rerank }, queries)?;
-    for (exact, approx) in exact.iter().zip(&approx) {
-        let approx_top = exact_top_k(&approx.similarities, k);
-        for id in exact_top_k(&exact.similarities, k) {
-            total += 1;
-            if approx_top.contains(&id) {
-                hits += 1;
-            }
-        }
-        // Non-candidates carry the 0.0 "not scored" sentinel, so the
-        // nonzero count is the stage-2 exact-scoring cost.
-        candidates += approx.similarities.iter().filter(|&&s| s != 0.0).count();
-    }
-    Ok(QuantRecallReport {
-        rerank,
-        k,
-        n_queries: queries.len(),
-        recall_at_k: hits as f64 / total.max(1) as f64,
-        mean_candidates: candidates as f64 / queries.len() as f64,
-    })
-}
-
-/// [`quant_recall_at_k`] across a ladder of re-rank depths — the
-/// recall/cost curve of the i8 path. Reports are index-aligned with
-/// `reranks`.
-///
-/// # Errors
-/// Same conditions as [`quant_recall_at_k`].
-pub fn quant_recall_sweep(
-    engine: &QueryEngine<'_>,
-    queries: &[Vec<(Timestamp, String)>],
-    k: usize,
-    reranks: &[usize],
-) -> Result<Vec<QuantRecallReport>, EvalError> {
-    reranks
-        .iter()
-        .map(|&rerank| quant_recall_at_k(engine, queries, k, rerank))
-        .collect()
-}
-
 /// Ranking agreement between two engine generations over one query set.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GenerationAgreementReport {
@@ -370,52 +280,6 @@ mod tests {
         assert!(reports[1].mean_candidates <= reports[2].mean_candidates);
         assert!(reports[0].recall_at_k <= reports[2].recall_at_k + 1e-12);
         assert_eq!(reports[2].recall_at_k, 1.0, "nprobe = n_centroids");
-    }
-
-    #[test]
-    fn quant_full_rerank_has_perfect_recall() {
-        let (d, p) = fitted();
-        let snap = p.snapshot(&[]);
-        let engine = snap.query_engine(EngineMode::Quant { rerank: 0 }).unwrap();
-        let queries = queries_of(&d, &[1, 7, 13, 19]);
-        // rerank >= n: stage 2 re-scores everyone, so the quantized
-        // ranking IS the exact ranking.
-        let report = quant_recall_at_k(&engine, &queries, 10, 24).unwrap();
-        assert_eq!(report.recall_at_k, 1.0);
-        assert_eq!(report.n_queries, 4);
-        assert_eq!(report.k, 10);
-    }
-
-    #[test]
-    fn quant_sweep_is_monotone_in_rerank() {
-        let (d, p) = fitted();
-        let snap = p.snapshot(&[]);
-        let engine = snap.query_engine(EngineMode::Quant { rerank: 0 }).unwrap();
-        let queries = queries_of(&d, &[0, 5, 11, 17, 23]);
-        let reports = quant_recall_sweep(&engine, &queries, 5, &[2, 8, 24]).unwrap();
-        assert_eq!(reports.len(), 3);
-        // Stage-1 ranks once per query; a deeper cut of the same ranking
-        // is a superset, so recall can only grow with rerank.
-        assert!(reports[0].recall_at_k <= reports[1].recall_at_k + 1e-12);
-        assert!(reports[1].recall_at_k <= reports[2].recall_at_k + 1e-12);
-        assert_eq!(reports[2].recall_at_k, 1.0, "rerank = n");
-        // The stage-2 cost is bounded by the rerank depth.
-        assert!(reports[0].mean_candidates <= 2.0 + 1e-12);
-    }
-
-    #[test]
-    fn quant_recall_requires_quant_state() {
-        let (d, p) = fitted();
-        let engine = p.query_engine(EngineMode::Exact).unwrap();
-        let queries = queries_of(&d, &[2]);
-        assert!(matches!(
-            quant_recall_at_k(&engine, &queries, 5, 8),
-            Err(EvalError::Invalid(_))
-        ));
-        assert!(matches!(
-            quant_recall_at_k(&engine, &[], 5, 8),
-            Err(EvalError::InsufficientData(_))
-        ));
     }
 
     #[test]

@@ -32,7 +32,6 @@
 //! matrix of *raw* rows is also a valid use).
 
 use crate::matrix::Matrix;
-use crate::quant::QuantizedRows;
 use crate::vector::{dot, l2_norm, scale};
 
 /// Rows per cache tile. A 64-row tile of `d = 200` `f32` columns is 50 KB,
@@ -209,9 +208,6 @@ const GRAM: GramMetrics = gram_metrics!("kernels.gram");
 const GRAM_PAR: GramMetrics = gram_metrics!("kernels.gram_par");
 /// [`gram_rect_blocked`] and [`crate::ChunkedRows::dots`].
 pub(crate) const GRAM_RECT: GramMetrics = gram_metrics!("kernels.gram_rect");
-/// The quantized kernel: a counter family apart from the f32 kernels so
-/// the i8 fast path's share of serving work is observable on its own.
-const GRAM_RECT_I8: GramMetrics = gram_metrics!("kernels.gram_rect_i8");
 /// [`crate::ChunkedRows::dots_at`]: apart from `kernels.gram_rect` so the
 /// serving path's stage-2 candidate re-rank stays separately observable.
 pub(crate) const GRAM_RECT_ROWS: GramMetrics = gram_metrics!("kernels.gram_rect_rows");
@@ -292,83 +288,6 @@ pub fn gram_rect_blocked(a: &Matrix, b: &Matrix) -> Vec<Vec<f32>> {
     }
     record_gram_metrics(
         &GRAM_RECT,
-        na,
-        (na.div_ceil(TILE) * nb.div_ceil(TILE)) as u64,
-    );
-    out
-}
-
-/// Integer dot product of two i8 slices, accumulated in `i32`.
-///
-/// Overflow-free by construction: every product is at most `127 · 127 =
-/// 16129 < 2¹⁴`, so even a 65 536-dimensional row sums to under `2³⁰`,
-/// comfortably inside `i32` — and SoulMate embeddings are ≤ a few
-/// thousand dimensions. Mirrors the unrolled shape of [`dot`]: four
-/// independent accumulators over `chunks_exact(8)` plus a remainder loop.
-///
-/// # Panics
-/// Panics in debug builds when the slice lengths differ.
-pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    debug_assert_eq!(a.len(), b.len(), "dot_i8: length mismatch");
-    let mut s0 = 0i32;
-    let mut s1 = 0i32;
-    let mut s2 = 0i32;
-    let mut s3 = 0i32;
-    let ca = a.chunks_exact(8);
-    let cb = b.chunks_exact(8);
-    let (ra, rb) = (ca.remainder(), cb.remainder());
-    for (x, y) in ca.zip(cb) {
-        s0 += i32::from(x[0]) * i32::from(y[0]) + i32::from(x[4]) * i32::from(y[4]);
-        s1 += i32::from(x[1]) * i32::from(y[1]) + i32::from(x[5]) * i32::from(y[5]);
-        s2 += i32::from(x[2]) * i32::from(y[2]) + i32::from(x[6]) * i32::from(y[6]);
-        s3 += i32::from(x[3]) * i32::from(y[3]) + i32::from(x[7]) * i32::from(y[7]);
-    }
-    let mut tail = 0i32;
-    for (x, y) in ra.iter().zip(rb) {
-        tail += i32::from(*x) * i32::from(*y);
-    }
-    s0 + s1 + s2 + s3 + tail
-}
-
-/// Rectangular approximate Gram `A·Bᵀ` over quantized rows:
-/// `out[i][j] ≈ dot(a_i, b_j)`, computed as an integer [`dot_i8`] and
-/// rescaled once per entry by the two rows' dequantization scales.
-/// Cache-blocked over both operands exactly like [`gram_rect_blocked`].
-///
-/// This is the candidate-generation half of the quantized serving
-/// contract (see `soulmate-linalg::quant` module docs): scores from this
-/// kernel pick *which* rows go into the exact f32 re-rank, they are never
-/// reported directly.
-///
-/// # Panics
-/// Panics in debug builds when the column counts differ.
-pub fn gram_rect_i8_blocked(a: &QuantizedRows, b: &QuantizedRows) -> Vec<Vec<f32>> {
-    debug_assert_eq!(a.cols(), b.cols(), "gram_rect_i8_blocked: dim mismatch");
-    let (na, nb) = (a.rows(), b.rows());
-    let mut out: Vec<Vec<f32>> = (0..na).map(|_| vec![0.0f32; nb]).collect();
-    let mut i0 = 0;
-    while i0 < na {
-        let i1 = (i0 + TILE).min(na);
-        let mut j0 = 0;
-        while j0 < nb {
-            let j1 = (j0 + TILE).min(nb);
-            for i in i0..i1 {
-                let ai = a.row(i);
-                let sa = a.scale(i);
-                let row = &mut out[i];
-                for j in j0..j1 {
-                    // dot_i8 stays within i32 (≤ 2³⁰ for any realistic
-                    // dimension); the f32 conversion is a value cast, not
-                    // a truncation.
-                    row[j] = dot_i8(ai, b.row(j)) as f32 * sa * b.scale(j);
-                }
-            }
-            j0 = j1;
-        }
-        i0 = i1;
-    }
-    record_gram_metrics(
-        &GRAM_RECT_I8,
         na,
         (na.div_ceil(TILE) * nb.div_ceil(TILE)) as u64,
     );
@@ -538,63 +457,6 @@ mod tests {
                 assert!((g[i][j] - want).abs() <= 1e-4 * (1.0 + want.abs()));
             }
         }
-    }
-
-    #[test]
-    fn dot_i8_matches_widened_reference() {
-        // 19 elements exercises two full chunks plus a 3-element tail.
-        let a: Vec<i8> = (0..19).map(|i| ((i * 37) % 255) as i8).collect();
-        let b: Vec<i8> = (0..19).map(|i| ((i * 91 + 13) % 255) as i8).collect();
-        let want: i32 = a
-            .iter()
-            .zip(&b)
-            .map(|(&x, &y)| i32::from(x) * i32::from(y))
-            .sum();
-        assert_eq!(dot_i8(&a, &b), want);
-        assert_eq!(dot_i8(&[], &[]), 0);
-        // Extremes: the worst-case magnitude product never overflows.
-        let lo = vec![-127i8; 1024];
-        let hi = vec![127i8; 1024];
-        assert_eq!(dot_i8(&lo, &hi), -127 * 127 * 1024);
-    }
-
-    #[test]
-    fn gram_rect_i8_matches_per_pair_approx_dots() {
-        // 70×130 spans two tile boundaries in both dimensions.
-        let a = QuantizedRows::quantize(&random_matrix(70, 9, 3));
-        let b = QuantizedRows::quantize(&random_matrix(130, 9, 4));
-        let g = gram_rect_i8_blocked(&a, &b);
-        assert_eq!(g.len(), 70);
-        assert_eq!(g[0].len(), 130);
-        for i in [0usize, 13, 63, 64, 69] {
-            for j in [0usize, 1, 63, 64, 127, 129] {
-                let want = a.approx_dot(i, &b, j);
-                assert_eq!(g[i][j].to_bits(), want.to_bits(), "({i}, {j})");
-            }
-        }
-    }
-
-    #[test]
-    fn gram_rect_i8_tracks_f32_gram() {
-        let ma = random_matrix(40, 24, 7);
-        let mb = random_matrix(50, 24, 8);
-        let g32 = gram_rect_blocked(&ma, &mb);
-        let g8 = gram_rect_i8_blocked(&QuantizedRows::quantize(&ma), &QuantizedRows::quantize(&mb));
-        for i in 0..40 {
-            for j in 0..50 {
-                // Loose absolute tolerance: rows are U(-1,1) over 24 dims,
-                // per-entry error ≤ scale/2 ≈ 1/254 each side.
-                assert!(
-                    (g32[i][j] - g8[i][j]).abs() < 0.25,
-                    "({i}, {j}): {} vs {}",
-                    g32[i][j],
-                    g8[i][j]
-                );
-            }
-        }
-        let rect_before = soulmate_obs::global().counter("kernels.gram_rect_i8.calls");
-        let _ = gram_rect_i8_blocked(&QuantizedRows::quantize(&ma), &QuantizedRows::quantize(&mb));
-        assert!(soulmate_obs::global().counter("kernels.gram_rect_i8.calls") > rect_before);
     }
 
     #[test]

@@ -31,8 +31,7 @@ pub mod vector;
 pub use chunked::{ChunkedRows, RowSource};
 pub use error::LinalgError;
 pub use kernels::{
-    dot_i8, gram_blocked, gram_blocked_par, gram_rect_blocked, gram_rect_i8_blocked,
-    top1_cosine_batch, NormalizedRows, TILE,
+    gram_blocked, gram_blocked_par, gram_rect_blocked, top1_cosine_batch, NormalizedRows, TILE,
 };
 pub use matrix::Matrix;
 pub use quant::{CenteredQuantizedRows, QuantizedRows, QUANT_MAX};

@@ -17,12 +17,10 @@
 //! rounding), which is what makes quantized snapshot writes reproducible
 //! byte for byte.
 //!
-//! The i8 fast path in [`crate::kernels`] scores quantized rows against
-//! each other in integer arithmetic (`i8 × i8 → i32` accumulation) and
-//! rescales once per dot product; the serving engine then re-ranks the
-//! top candidates with exact `f32` dots, so quantization error only ever
-//! affects *which* candidates are considered, never the score of a
-//! reported candidate.
+//! qi8 is a storage encoding only: the snapshot reader dequantizes every
+//! qi8 section back to `f32` rows at load, and the serving engine scores
+//! those rows exactly like the rows of an `f32` file. Nothing scores i8
+//! rows directly.
 
 use crate::chunked::RowSource;
 use crate::error::LinalgError;
@@ -164,12 +162,6 @@ impl QuantizedRows {
         self.scales.get(i).copied().unwrap_or(0.0)
     }
 
-    /// Exact L2 norm of the *original* (pre-quantization) row `i`.
-    #[inline]
-    pub fn norm(&self, i: usize) -> f32 {
-        self.norms.get(i).copied().unwrap_or(0.0)
-    }
-
     /// All per-row dequantization scales.
     #[inline]
     pub fn scales(&self) -> &[f32] {
@@ -200,19 +192,6 @@ impl QuantizedRows {
             }
         }
         out
-    }
-
-    /// Approximate dot product between row `i` of `self` and row `j` of
-    /// `other`, computed in integer arithmetic and rescaled once.
-    ///
-    /// # Panics
-    /// Panics if the column counts differ or an index is out of range
-    /// (callers guarantee shape, as with [`crate::vector::dot`]).
-    #[inline]
-    pub fn approx_dot(&self, i: usize, other: &QuantizedRows, j: usize) -> f32 {
-        debug_assert_eq!(self.cols, other.cols, "approx_dot: dim mismatch");
-        let acc = crate::kernels::dot_i8(self.row(i), other.row(j));
-        acc as f32 * self.scale(i) * other.scale(j)
     }
 }
 
@@ -338,10 +317,8 @@ impl CenteredQuantizedRows {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vector::dot;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use soulmate_check::{assume, check};
 
     fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -374,7 +351,7 @@ mod tests {
         let m = Matrix::from_rows(&[vec![0.0, 0.0, 0.0], vec![1.0, -2.0, 0.5]]).unwrap();
         let q = QuantizedRows::quantize(&m);
         assert_eq!(q.scale(0), 0.0);
-        assert_eq!(q.norm(0), 0.0);
+        assert_eq!(q.norms()[0], 0.0);
         assert!(q.row(0).iter().all(|&v| v == 0));
         assert_eq!(q.dequantize().row(0), &[0.0, 0.0, 0.0]);
         // Extremes hit ±127 exactly and never -128.
@@ -388,7 +365,7 @@ mod tests {
         let q = QuantizedRows::quantize(&m);
         for i in 0..m.rows() {
             assert_eq!(
-                q.norm(i).to_bits(),
+                q.norms()[i].to_bits(),
                 crate::vector::l2_norm(m.row(i)).to_bits()
             );
         }
@@ -488,7 +465,7 @@ mod tests {
         assert_eq!(a, b);
         for i in 0..m.rows() {
             assert_eq!(
-                a.rows().norm(i).to_bits(),
+                a.rows().norms()[i].to_bits(),
                 crate::vector::l2_norm(m.row(i)).to_bits()
             );
         }
@@ -512,43 +489,5 @@ mod tests {
         let back = c.dequantize();
         assert_eq!(back.rows(), 0);
         assert_eq!(back.cols(), 0);
-    }
-
-    /// approx_dot of quantized rows tracks the true f32 dot within
-    /// the analytic error bound for per-row symmetric quantization.
-    #[test]
-    fn prop_approx_dot_tracks_f32_dot() {
-        check(256, |g| {
-            let flat = g.vec(8..96, |g| g.f32(-3.0..3.0));
-
-            let cols = 8;
-            let rows = flat.len() / cols;
-            assume(rows >= 2)?;
-            let m = Matrix::from_vec(rows, cols, flat[..rows * cols].to_vec()).unwrap();
-            let q = QuantizedRows::quantize(&m);
-            for i in 0..rows {
-                for j in 0..rows {
-                    let want = dot(m.row(i), m.row(j));
-                    let got = q.approx_dot(i, &q, j);
-                    // Each entry is off by ≤ scale/2; the dot of row i and
-                    // row j is off by ≤ Σ(|a|·εb + |b|·εa + εa·εb).
-                    let ea = q.scale(i) * 0.5;
-                    let eb = q.scale(j) * 0.5;
-                    let bound: f32 = m
-                        .row(i)
-                        .iter()
-                        .zip(m.row(j))
-                        .map(|(&a, &b)| a.abs() * eb + b.abs() * ea + ea * eb)
-                        .sum::<f32>()
-                        + 1e-3;
-                    assert!(
-                        (want - got).abs() <= bound,
-                        "({i}, {j}): {want} vs {got} (bound {bound})"
-                    );
-                }
-            }
-
-            Some(())
-        });
     }
 }

@@ -126,9 +126,9 @@ fn is_test_path(path: &str) -> bool {
 
 fn is_serving_path(path: &str) -> bool {
     let comps = components(path);
-    // The i8 quantization module feeds the serving engine's fast path
-    // directly (snapshot decode + candidate scoring), so it opts into
-    // the serving rules even though the rest of linalg — fit-time
+    // The i8 quantization module decodes the qi8 sections of untrusted
+    // snapshot files at load (`from_parts`, `dequantize`), so it opts
+    // into the serving rules even though the rest of linalg — fit-time
     // kernels that never see untrusted inputs — does not.
     if comps
         .windows(4)

@@ -345,29 +345,6 @@ fn ivf_serving_matches_the_ivf_engine_path() {
     });
 }
 
-#[test]
-fn quant_serving_matches_the_quant_engine_path() {
-    let (dataset, snapshot) = fixture();
-    let plan = EngineMode::Quant { rerank: 4 };
-    let engine = snapshot.query_engine(plan).unwrap();
-    assert!(engine.quant_enabled());
-    let groups: Vec<Vec<(Timestamp, String)>> =
-        (0..3u32).map(|a| author_tweets(&dataset, a, 5)).collect();
-    let direct = soulmate_serve::render_outcomes(&engine.link_query_authors(&groups).unwrap());
-    drop(engine);
-
-    let cell = cell(&snapshot, plan);
-    with_server(&cell, ServeConfig::default(), |addr| {
-        let body: String = groups
-            .iter()
-            .map(|g| query_line(g) + "\n")
-            .collect::<String>();
-        let (status, served) = exchange(addr, "POST", "/link", &body);
-        assert_eq!(status, 200, "{served}");
-        assert_eq!(served, direct, "quant response diverged from engine output");
-    });
-}
-
 /// A delta ingest detaches the IVF index, so an IVF-plan server answers
 /// the grown generation on the exact path — and counts every such batch
 /// as a fallback instead of hiding it.
